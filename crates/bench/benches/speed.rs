@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use rppm_core::{execute, predict, PreparedProfile, ThreadTimeline};
 use rppm_profiler::profile;
-use rppm_sim::{simulate, simulate_profiled, simulate_reference};
+use rppm_sim::{simulate, simulate_with_probe, ProfileCollector};
 use rppm_statstack::{MultiThreadCollector, ReuseHistogram, StackDistanceModel};
 use rppm_trace::{BlockItem, CursorItem, DesignPoint, Rng, SyncOp, ThreadCursor};
 use rppm_workloads::{by_name, Params};
@@ -154,15 +154,13 @@ fn pipeline(c: &mut Criterion) {
     g.bench_function("simulate_hotspot_0.1", |b| {
         b.iter(|| simulate(std::hint::black_box(&program), &config))
     });
-    // The pre-PGO naive dispatch, kept as a pinned baseline: the
-    // simulate/simulate_reference ratio IS the superinstruction speedup,
-    // measured in the same process so machine noise cancels.
-    g.bench_function("simulate_reference_hotspot_0.1", |b| {
-        b.iter(|| simulate_reference(std::hint::black_box(&program), &config))
-    });
     // Self-profiling overhead: must stay marginal over plain simulate.
     g.bench_function("simulate_profiled_hotspot_0.1", |b| {
-        b.iter(|| simulate_profiled(std::hint::black_box(&program), &config))
+        b.iter(|| {
+            let mut probe = ProfileCollector::new();
+            simulate_with_probe(std::hint::black_box(&program), &config, &mut probe);
+            probe.into_profile()
+        })
     });
     g.bench_function("profile_hotspot_0.1", |b| {
         b.iter(|| profile(std::hint::black_box(&program)))

@@ -1,7 +1,8 @@
 //! Experiment harness support code for the RPPM reproduction.
 //!
 //! The `rppm` CLI (`crates/cli`) drives this library to regenerate every
-//! table and figure of the paper (see DESIGN.md §5 for the index). This
+//! table and figure of the paper (see README.md, "Regenerating the paper's
+//! tables and figures", for the index). This
 //! library holds:
 //!
 //! * [`runner`] — the experiment engine: [`ExperimentPlan`] fans

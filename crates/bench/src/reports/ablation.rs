@@ -1,5 +1,6 @@
-//! Ablation study: re-run the Figure 4 accuracy suite with each model
-//! refinement (DESIGN.md §7) disabled in turn, quantifying what every
+//! Ablation study: re-run the Figure 4 accuracy suite with each refinement
+//! of the Equation 1 interval model (PAPER.md, "The model"; each one is
+//! documented in `rppm_core::eq1`) disabled in turn, quantifying what every
 //! mechanism contributes to RPPM's accuracy.
 //!
 //! The knobs are env-var overrides read by `rppm-core::eq1` at every
@@ -114,7 +115,7 @@ pub fn ablation(scale: f64, ctx: &RunCtx<'_>) -> Report {
         }
     }
     out.push('\n');
-    out.push_str("Each row disables one DESIGN.md §7 refinement; deltas vs. the first row\n");
+    out.push_str("Each row disables one Eq. 1 refinement (PAPER.md, \"The model\"); deltas vs. the first row\n");
     out.push_str("quantify that mechanism's contribution to RPPM's accuracy.\n");
 
     Report {

@@ -2,15 +2,13 @@
 //!
 //! Runs every catalog workload through the probed golden simulator at the
 //! paper's base design point and aggregates the engine's self-profile: op
-//! frequencies, the dynamic op-pair histogram (the superinstruction
-//! candidates), the synchronization mix and the dispatch/fusion statistics
-//! the PGO loop feeds on. The JSON twin is drift-gated by the golden suite:
-//! a change in the committed op-frequency profile means the simulated
-//! instruction streams changed — exactly the regression the bit-identical
-//! optimization discipline forbids.
+//! frequencies, the dynamic op-pair histogram and the synchronization mix.
+//! The JSON twin is drift-gated by the golden suite: a change in the
+//! committed op-frequency profile means the simulated instruction streams
+//! changed.
 
 use super::{arr, obj, Report, RunCtx};
-use rppm_sim::{simulate_profiled, SimProfile};
+use rppm_sim::{simulate_with_probe, ProfileCollector, SimProfile};
 use rppm_workloads::Params;
 use serde_json::Value;
 
@@ -36,20 +34,13 @@ pub fn sim_profile(scale: f64, ctx: &RunCtx<'_>) -> Report {
     let mut rows_json = Vec::new();
     for bench in rppm_workloads::all() {
         let program = bench.build(&params);
-        let (_, p) = simulate_profiled(&program, &config);
-        rows.push(format!(
-            "{:<16} {:>10} {:>10} {:>7.1}% {:>8.1}%",
-            bench.name,
-            p.total_ops(),
-            p.dispatches,
-            p.fused_fraction() * 100.0,
-            p.dispatch_reduction() * 100.0
-        ));
+        let mut collector = ProfileCollector::new();
+        simulate_with_probe(&program, &config, &mut collector);
+        let p = collector.into_profile();
+        rows.push(format!("{:<16} {:>10}", bench.name, p.total_ops()));
         rows_json.push(obj([
             ("name", Value::String(bench.name.to_string())),
             ("ops", Value::U64(p.total_ops())),
-            ("dispatches", Value::U64(p.dispatches)),
-            ("fused_pairs", Value::U64(p.fused_pairs)),
         ]));
         merged.merge(&p);
     }
@@ -60,11 +51,8 @@ pub fn sim_profile(scale: f64, ctx: &RunCtx<'_>) -> Report {
         "Simulator self-profile: {} catalog workloads, base design point (scale {scale})\n\n",
         rows.len()
     ));
-    out.push_str(&format!(
-        "{:<16} {:>10} {:>10} {:>8} {:>9}\n",
-        "workload", "ops", "dispatch", "fused", "disp.red"
-    ));
-    out.push_str(&"-".repeat(58));
+    out.push_str(&format!("{:<16} {:>10}\n", "workload", "ops"));
+    out.push_str(&"-".repeat(27));
     out.push('\n');
     for r in &rows {
         out.push_str(r);
@@ -91,16 +79,9 @@ pub fn sim_profile(scale: f64, ctx: &RunCtx<'_>) -> Report {
             n as f64 * 100.0 / total as f64
         ));
     }
-    out.push_str(&format!(
-        "\ndispatch actions: {} for {} ops ({} fused pairs, {:.2}% dispatch reduction)\n",
-        merged.dispatches,
-        merged.total_ops(),
-        merged.fused_pairs,
-        merged.dispatch_reduction() * 100.0
-    ));
     let s = &merged.sync;
     out.push_str(&format!(
-        "sync mix: {} creates, {} joins, {} barriers ({} via cond), {} lock/unlock, {} produce/consume\n",
+        "\nsync mix: {} creates, {} joins, {} barriers ({} via cond), {} lock/unlock, {} produce/consume\n",
         s.creates,
         s.joins,
         s.barriers + s.cond_barriers,

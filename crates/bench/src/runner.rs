@@ -273,7 +273,7 @@ impl ExperimentPlan {
             let (wi, ci) = (i / n_cfg, i % n_cfg);
             let config = &self.configs[ci];
             let w = &shared[wi];
-            let sim = simulate(&w.program, config);
+            let sim = simulate(w.program.as_ref(), config);
             let rppm = predict(&w.profile, config);
             let main_cycles = predict_main(&w.profile, config);
             let crit_cycles = predict_crit(&w.profile, config);

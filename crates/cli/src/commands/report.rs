@@ -19,7 +19,7 @@ reports (and their optional positional arguments):
   dse    [scale]          batched DSE engine: optimum, frontier,
                           deficiency on the tiny space (default 0.3)
   sim_profile [scale]     simulator self-profile: op mix, hot pairs,
-                          fusion/dispatch statistics (default 0.3)
+                          sync mix (default 0.3)
 
 --machine FILE evaluates single-configuration reports (and the dse
 report's space base) on the `.machine` description in FILE instead of

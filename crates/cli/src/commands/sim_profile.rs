@@ -1,32 +1,27 @@
 //! `rppm sim-profile` — the simulator profiling itself.
 //!
-//! The PGO loop's observation half: runs a workload (or the whole catalog)
-//! through the golden simulator with the self-profiling probe attached and
-//! prints what the engine executed — op-class frequencies, the dynamic
-//! op-pair histogram that nominates superinstruction candidates, the sync
-//! mix and the dispatch/fusion statistics. `--reference` swaps in the naive
-//! one-op-at-a-time reference engine, whose profile is the "before" picture
-//! (every op is its own dispatch, nothing fuses).
+//! Runs a workload (or the whole catalog) through the golden simulator with
+//! the self-profiling probe attached and prints what the engine executed —
+//! op-class frequencies, the dynamic op-pair histogram, the sync mix and
+//! per-thread block shapes.
 
 use super::{is_help, take_jobs};
 use crate::args::{ArgStream, CliError};
-use rppm::sim::{simulate_profiled, simulate_reference_profiled, SimProfile};
+use rppm::sim::{simulate_with_probe, ProfileCollector, SimProfile};
 use rppm::trace::{DesignPoint, MachineConfig, Program};
 use rppm::workloads::Params;
 use serde_json::Value;
 
 const USAGE: &str = "usage: rppm sim-profile [WORKLOAD] [--catalog] [--scale S] [--seed N]
        [--point smallest|small|base|big|biggest] [--machine FILE] [--top N]
-       [--reference] [--json] [--out FILE]
+       [--json] [--out FILE]
 
 Runs WORKLOAD (or, with --catalog, every catalog workload, merging the
 profiles) through the golden simulator with the self-profiling probe
 attached and reports the engine's own execution profile: op-class mix,
-hot dynamic op pairs (the superinstruction-fusion candidates), sync-op
-mix, per-thread block shape and dispatch/fusion statistics.
+hot dynamic op pairs, sync-op mix and per-thread block shape.
 
---reference profiles the naive one-op-at-a-time reference engine instead
-(the PGO \"before\": one dispatch per op, zero fusion). --point picks the
+--point picks the
 machine (default base); --machine FILE simulates the `.machine`
 description in FILE instead and overrides --point. --top N sets how many
 op pairs are listed (default 8). --json prints the machine-readable
@@ -44,19 +39,18 @@ fn parse_point(s: &str) -> Result<DesignPoint, String> {
     })
 }
 
-/// Simulates one program under the chosen engine, returning its profile.
-fn profile_one(program: &Program, config: &MachineConfig, reference: bool) -> SimProfile {
-    if reference {
-        simulate_reference_profiled(program, config).1
-    } else {
-        simulate_profiled(program, config).1
-    }
+/// Simulates one program with the self-profiling probe, returning its
+/// profile.
+fn profile_one(program: &Program, config: &MachineConfig) -> SimProfile {
+    let mut collector = ProfileCollector::new();
+    simulate_with_probe(program, config, &mut collector);
+    collector.into_profile()
 }
 
-fn render_text(scope: &str, engine: &str, point: &str, p: &SimProfile, top: usize) -> String {
+fn render_text(scope: &str, point: &str, p: &SimProfile, top: usize) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "{scope}: {} ops through the {engine} engine @ {point}\n\n",
+        "{scope}: {} ops through the simulator @ {point}\n\n",
         p.total_ops()
     ));
     let total = p.total_ops().max(1);
@@ -77,17 +71,9 @@ fn render_text(scope: &str, engine: &str, point: &str, p: &SimProfile, top: usiz
             n as f64 * 100.0 / total as f64
         ));
     }
-    out.push_str(&format!(
-        "\ndispatch: {} actions for {} ops | {} fused pairs | {:.2}% of ops fused | {:.2}% dispatch reduction\n",
-        p.dispatches,
-        p.total_ops(),
-        p.fused_pairs,
-        p.fused_fraction() * 100.0,
-        p.dispatch_reduction() * 100.0
-    ));
     let s = &p.sync;
     out.push_str(&format!(
-        "sync mix: {} creates, {} joins, {} barriers ({} via cond), {} locks, {} unlocks, {} produces, {} consumes\n",
+        "\nsync mix: {} creates, {} joins, {} barriers ({} via cond), {} locks, {} unlocks, {} produces, {} consumes\n",
         s.creates, s.joins, s.barriers, s.cond_barriers, s.locks, s.unlocks, s.produces, s.consumes
     ));
     out.push_str("\nthreads (ops / uninterrupted runs / longest run / syncs):\n");
@@ -109,7 +95,6 @@ pub fn run(argv: Vec<String>) -> Result<i32, CliError> {
     let mut point = DesignPoint::Base;
     let mut machine: Option<String> = None;
     let mut top = 8usize;
-    let mut reference = false;
     let mut json = false;
     let mut out_file: Option<String> = None;
     let mut jobs = rppm_bench::default_jobs();
@@ -131,7 +116,6 @@ pub fn run(argv: Vec<String>) -> Result<i32, CliError> {
             }
             "--machine" => machine = Some(args.value_of(&arg)?),
             "--top" => top = args.parse_of(&arg)?,
-            "--reference" => reference = true,
             "--json" => json = true,
             "--out" => out_file = Some(args.value_of(&arg)?),
             _ if arg.is_flag() => return Err(args.unknown(&arg)),
@@ -155,19 +139,16 @@ pub fn run(argv: Vec<String>) -> Result<i32, CliError> {
         }
         None => (point.config(), format!("{point:?}").to_lowercase()),
     };
-    let engine = if reference { "reference" } else { "optimized" };
 
     let (scope, profile, per_workload) = if catalog {
         let mut merged = SimProfile::default();
         let mut rows = Vec::new();
         for bench in rppm::workloads::all() {
             let program = bench.build(&params);
-            let p = profile_one(&program, &config, reference);
+            let p = profile_one(&program, &config);
             rows.push(Value::Object(vec![
                 ("name".into(), Value::String(bench.name.to_string())),
                 ("ops".into(), Value::U64(p.total_ops())),
-                ("dispatches".into(), Value::U64(p.dispatches)),
-                ("fused_pairs".into(), Value::U64(p.fused_pairs)),
             ]));
             merged.merge(&p);
         }
@@ -179,13 +160,12 @@ pub fn run(argv: Vec<String>) -> Result<i32, CliError> {
             .find(|b| b.name == name)
             .ok_or_else(|| args.error(format!("unknown workload `{name}`")))?;
         let program = bench.build(&params);
-        let p = profile_one(&program, &config, reference);
+        let p = profile_one(&program, &config);
         (name, p, Vec::new())
     };
 
     let mut doc_entries = vec![
         ("scope".into(), Value::String(scope.clone())),
-        ("engine".into(), Value::String(engine.to_string())),
         ("point".into(), Value::String(point_name.clone())),
         ("scale".into(), Value::F64(scale)),
         ("seed".into(), Value::U64(seed)),
@@ -212,10 +192,7 @@ pub fn run(argv: Vec<String>) -> Result<i32, CliError> {
     if json {
         println!("{}", serde_json::to_string(&doc).expect("doc serializes"));
     } else {
-        print!(
-            "{}",
-            render_text(&scope, engine, &point_name, &profile, top)
-        );
+        print!("{}", render_text(&scope, &point_name, &profile, top));
     }
     Ok(0)
 }

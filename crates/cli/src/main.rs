@@ -38,7 +38,7 @@ commands:
   dse WORKLOAD [args]     sweep a 10^5-point design space from one profile:
                           batched Eq.1, constraint filters, Pareto frontier
   sim-profile [args]      the simulator profiling itself: op mix, hot op
-                          pairs, fusion/dispatch stats (PGO observation)
+                          pairs, sync mix, per-thread block shapes
   serve [args]            long-lived HTTP prediction service over the
                           profile-once cache (bounded memory, job queue)
   load-gen [args]         benchmark client for `rppm serve`; emits a

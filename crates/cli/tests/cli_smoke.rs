@@ -2,7 +2,6 @@
 //! subcommand, correct exit codes, one-line user errors (no panics, no
 //! backtraces), and a tiny end-to-end report/convert/import round trip.
 
-use std::path::PathBuf;
 use std::process::{Command, Output};
 
 fn rppm(args: &[&str]) -> Output {
@@ -347,16 +346,37 @@ fn golden_diff_detects_drift_against_perturbed_baseline() {
 
 #[test]
 fn results_dir_has_committed_outputs_for_every_report() {
-    // Guard the repo contract the run-all smoke in CI relies on: the
-    // committed results/ dir carries both twins for every report name the
-    // CLI accepts.
-    let results = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    // Guard the contract the run-all smoke in CI relies on: `run-all`
+    // writes both twins for every report name into `./results`. Run it at
+    // a tiny scale in a scratch working directory so the check depends on
+    // neither the checkout's untracked state nor its full-scale outputs.
+    let dir = std::env::temp_dir().join(format!("rppm-cli-run-all-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_rppm"))
+        .args(["run-all", "0.02", "0.02", "--jobs", "2"])
+        .current_dir(&dir)
+        .output()
+        .expect("spawn rppm");
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    let results = dir.join("results");
     for name in [
-        "table1", "table2", "table3", "table4", "table5", "fig4", "fig5", "fig6", "ablation", "dse",
+        "table1",
+        "table2",
+        "table3",
+        "table4",
+        "table5",
+        "fig4",
+        "fig5",
+        "fig6",
+        "ablation",
+        "dse",
+        "sim_profile",
     ] {
         for ext in ["txt", "json"] {
             let p = results.join(format!("{name}.{ext}"));
-            assert!(p.exists(), "missing committed {}", p.display());
+            assert!(p.exists(), "missing {}", p.display());
         }
     }
+    let _ = std::fs::remove_dir_all(&dir);
 }

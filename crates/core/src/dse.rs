@@ -230,12 +230,6 @@ impl ConfigSpace {
         }
     }
 
-    /// Renamed to [`ConfigSpace::single`].
-    #[deprecated(since = "0.10.0", note = "renamed to ConfigSpace::single")]
-    pub fn point(base: MachineConfig) -> Self {
-        Self::single(base)
-    }
-
     /// The default exploration space of `rppm dse` around the Table IV base
     /// configuration; see [`ConfigSpace::default_space_from`].
     pub fn default_space() -> Self {
@@ -797,7 +791,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn single_point_space_wraps_any_config() {
         let base = MachineConfig::builder("custom")
             .dispatch_width(3)
@@ -805,14 +798,12 @@ mod tests {
             .issue_queue(36)
             .build()
             .expect("valid");
-        let s = ConfigSpace::single(base.clone());
+        let s = ConfigSpace::single(base);
         assert_eq!(s.len(), 1);
         let c = s.config(0);
         assert_eq!(c.dispatch_width, 3);
         assert_eq!(c.rob_size, 72);
         assert!(c.validate().is_ok());
-        // The deprecated alias behaves identically.
-        assert_eq!(ConfigSpace::point(base).config(0), c);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Discrete-event ready queue shared by the execution engines.
 //!
-//! Algorithm 2 (symbolic execution), the golden simulator engine and the
-//! naive reference core all schedule the same way: *run the ready thread
+//! Algorithm 2 (symbolic execution) and the golden simulator engine both
+//! schedule the same way: *run the ready thread
 //! with the smallest clock next*. The historical implementation rescanned
 //! every thread on every scheduling step, which is O(threads) per step —
 //! harmless at the paper's 4–8 threads, but the dominant cost for

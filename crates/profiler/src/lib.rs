@@ -46,6 +46,9 @@ pub mod profile;
 
 pub use cache::{CacheBudget, ProfileCache, ProfileKey, ProfiledWorkload};
 pub use curves::{ln_window, EpochCurves};
-pub use logical::{profile, profile_call_count, profile_replay, profile_source};
+pub use logical::profile;
+/// [`profile()`] under its out-of-core name, for callers replaying an
+/// [`OpReplay`](rppm_trace::OpReplay).
+pub use logical::profile as profile_replay;
 pub use microtrace::{analyze, MicroTraceAnalysis, WINDOWS};
 pub use profile::{ApplicationProfile, CondVarUsage, EpochProfile, ThreadProfile};

@@ -15,12 +15,9 @@ use crate::profile::{ApplicationProfile, EpochProfile, ThreadProfile};
 use rppm_branch_model::EntropyCollector;
 use rppm_statstack::{MultiThreadCollector, ReuseHistogram, ReuseTracker};
 use rppm_trace::op::NUM_OP_CLASSES;
-use rppm_trace::{
-    BlockItem, ExecSource, MicroOp, OpClass, OpReplay, Program, SyncOp, ThreadCursor,
-};
+use rppm_trace::{BlockItem, ExecSource, MicroOp, OpClass, SyncOp, ThreadCursor};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Ops per scheduling chunk of the unit-cost executor.
 const CHUNK: u64 = 256;
@@ -34,49 +31,16 @@ const MICROTRACE_LEN: u64 = 512;
 /// period shrinks proportionally).
 const SAMPLE_PERIOD: u64 = 10_000;
 
-/// Process-wide count of [`profile`] invocations.
-static PROFILE_CALLS: AtomicU64 = AtomicU64::new(0);
-
-/// Number of times [`profile`] has run in this process.
-///
-/// Diagnostic hook for the "profile once" contract: harness tests snapshot
-/// this counter around an experiment run to assert every workload was
-/// profiled exactly once, no matter how many configurations it was
-/// predicted on.
-pub fn profile_call_count() -> u64 {
-    PROFILE_CALLS.load(Ordering::Relaxed)
-}
-
-/// Profiles `program`, producing its microarchitecture-independent
-/// [`ApplicationProfile`].
+/// Profiles `source` — an expansion-backed [`Program`](rppm_trace::Program)
+/// or a recorded op stream replayed out-of-core (see
+/// [`OpReplay`](rppm_trace::OpReplay)) — producing its
+/// microarchitecture-independent [`ApplicationProfile`]. A replayed stream
+/// profiles bit-identically to the program it was recorded from.
 ///
 /// # Panics
 ///
 /// Panics if the program is structurally invalid or deadlocks.
-pub fn profile(program: &Program) -> ApplicationProfile {
-    profile_source(program)
-}
-
-/// Profiles a recorded op stream replayed out-of-core (see
-/// [`OpReplay`]), producing a profile bit-identical to what
-/// [`profile`] yields on the same program — pinned by the differential
-/// suite in `tests/replay_differential.rs`.
-///
-/// # Panics
-///
-/// Same contract as [`profile`].
-pub fn profile_replay(replay: &OpReplay) -> ApplicationProfile {
-    profile_source(replay)
-}
-
-/// Profiles any [`ExecSource`] (expansion-backed program or out-of-core
-/// replay) through the shared cursor API.
-///
-/// # Panics
-///
-/// Panics if the underlying program is structurally invalid or deadlocks.
-pub fn profile_source<S: ExecSource>(source: &S) -> ApplicationProfile {
-    PROFILE_CALLS.fetch_add(1, Ordering::Relaxed);
+pub fn profile<S: ExecSource>(source: &S) -> ApplicationProfile {
     source.validate().expect("invalid program");
     Profiler::new(source).run()
 }
@@ -668,7 +632,7 @@ impl<'p, S: ExecSource> Profiler<'p, S> {
 mod tests {
     use super::*;
     use rppm_statstack::StackDistanceModel;
-    use rppm_trace::{AddressPattern, BlockSpec, BranchPattern, ProgramBuilder};
+    use rppm_trace::{AddressPattern, BlockSpec, BranchPattern, Program, ProgramBuilder};
 
     fn simple_program(ops: u32) -> Program {
         let mut b = ProgramBuilder::new("prof-test", 2);

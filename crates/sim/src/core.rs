@@ -13,57 +13,22 @@
 //! core models validated in Carlson et al. (TACO 2014), which the paper uses
 //! as its golden reference.
 //!
-//! # Profile-driven dispatch
-//!
-//! The catalog-wide self-profile (`rppm sim-profile`, committed under
-//! `results/`) shows ~55% of dynamic ops are compute (IntAlu/Mul/Div,
-//! FpAdd/Mul/Div) and the dominant dynamic op pairs are compute→compute.
-//! [`CoreModel::run_ops`] exploits both: compute ops take a table-driven
-//! fast path ahead of the memory/branch match, and a compute op followed by
-//! a same-code-line compute op is *fused* into one dispatch action that
-//! skips the front-end re-check (provably a no-op for the second member —
-//! see the inline proof). The retirement bookkeeping (ROB) runs on a flat
-//! ring buffer instead of a `VecDeque`. None of this changes any arithmetic:
-//! every micro-op sees the exact f64 operation sequence of the naive
-//! dispatch in [`crate::reference`], which differential tests pin
-//! bit-identical.
+//! [`CoreModel::process`] is a straight per-op dispatch: the front end, the
+//! window entry and one `match` over the op class. [`CoreModel::run_ops`]
+//! is that dispatch in a loop with the engine's quantum check after each op.
 
 use crate::bpred::TournamentPredictor;
 use crate::mem::{MemorySystem, ServiceLevel};
 use rppm_trace::{CpiStack, MachineConfig, MicroOp, OpClass};
+use std::collections::VecDeque;
 
-/// Completion-ring size of the naive reference core: large enough for the
-/// maximum register dependence distance, which is bounded by `u16::MAX`.
-///
-/// The optimized [`CoreModel`] sizes its ring at `rob_size + 1` rounded up
-/// to a power of two instead (a few KB that stay L1-resident, against 512 KB
-/// per thread here). That is bit-identical because a dependence on an op
-/// more than `rob_size` back can never raise the ready time: by then the
-/// producer has been popped from the ROB (S3 pops exactly when the window is
-/// full, i.e. on every dispatch once `op_index >= rob_size`), and the pop
-/// already advanced `cycle` to at least its retire time — which is `>=` its
-/// completion time — so `ready.max(completion)` is a no-op. Distances that
-/// the small ring cannot index are therefore skipped outright; the
-/// differential suite pins the equivalence against this reference.
-pub(crate) const RING: usize = 1 << 16;
-
-/// Number of compute (non-memory, non-branch) op classes; their dense
-/// [`OpClass::index`] values are `0..NUM_COMPUTE_CLASSES`.
-pub(crate) const NUM_COMPUTE_CLASSES: usize = 6;
-
-/// Per-class execution latency for the compute fast path, as f64 (must
-/// equal `OpClass::latency() as f64`; checked by a unit test).
-const COMPUTE_LAT: [f64; NUM_COMPUTE_CLASSES] = [1.0, 3.0, 18.0, 3.0, 4.0, 15.0];
-/// Per-class issue-port pool for the compute fast path (mirrors
-/// [`OpClass::port_pool`]).
-const COMPUTE_POOL: [usize; NUM_COMPUTE_CLASSES] = [0, 1, 1, 2, 2, 2];
-/// Per-class pipelining for the compute fast path (mirrors
-/// [`OpClass::pipelined`]; divides are unpipelined).
-const COMPUTE_PIPELINED: [bool; NUM_COMPUTE_CLASSES] = [true, true, false, true, true, false];
+/// Upper bound on the completion ring: register dependence distances are
+/// `u16`, so a ring of `1 << 16` entries can index every one of them.
+const MAX_RING: usize = 1 << 16;
 
 /// Stall-attribution component.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Cause {
+enum Cause {
     Base,
     Branch,
     ICache,
@@ -72,7 +37,7 @@ pub(crate) enum Cause {
     MemDram,
 }
 
-pub(crate) fn attribute(stalls: &mut CpiStack, cause: Cause, delta: f64) {
+fn attribute(stalls: &mut CpiStack, cause: Cause, delta: f64) {
     match cause {
         Cause::Base => stalls.base += delta,
         Cause::Branch => stalls.branch += delta,
@@ -115,18 +80,24 @@ pub struct CoreModel {
     dispatched: u32,
     fe_stall_until: f64,
     fe_cause: Cause,
-    /// Completion-time ring of the last `ring_mask + 1` ops (see the note on
-    /// [`RING`] for why `rob_size + 1` entries suffice bit-identically).
+    /// Completion times of the last `ring_mask + 1` ops, sized at
+    /// `rob_size + 1` rounded up to a power of two (a few KB that stay
+    /// L1-resident, against 512 KB per thread for a ring covering every
+    /// `u16` distance).
+    ///
+    /// That is exact because a dependence on an op more than `rob_size`
+    /// back can never raise the ready time: by then the producer has been
+    /// popped from the ROB (the ROB pops exactly when the window is full,
+    /// i.e. on every dispatch once `op_index >= rob_size`), and the pop
+    /// already advanced `cycle` to at least its retire time — which is `>=`
+    /// its completion time — so `ready.max(completion)` is a no-op.
+    /// Distances the ring cannot index are therefore skipped outright; a
+    /// unit test pins this against a full-width ring.
     completions: Vec<f64>,
     ring_mask: usize,
     op_index: u64,
-    /// Retirement window as a flat ring: `rob[rob_head..rob_head+rob_len]`
-    /// (mod `rob_size`) are the in-flight `(retire_time, cause)` entries in
-    /// dispatch order. Capacity is exactly `rob_size`, so "full" is
-    /// `rob_len == rob_size`.
-    rob: Vec<(f64, Cause)>,
-    rob_head: usize,
-    rob_len: usize,
+    /// In-flight `(retire_time, cause)` entries in dispatch order.
+    rob: VecDeque<(f64, Cause)>,
     last_retire: f64,
     fu_free: [[f64; 8]; rppm_trace::op::NUM_PORT_POOLS],
     /// Ring of the last `mshrs` miss completion times (program order).
@@ -140,8 +111,6 @@ pub struct CoreModel {
     stalls: CpiStack,
     overhead: f64,
     counters: CoreCounters,
-    /// Superinstruction pairs retired in a single dispatch action.
-    fused: u64,
 }
 
 impl CoreModel {
@@ -152,7 +121,9 @@ impl CoreModel {
         for class in OpClass::ALL {
             ports[class.port_pool()] = config.ports_for(class).clamp(1, 8) as u8;
         }
-        let ring = (config.rob_size as usize + 1).next_power_of_two().min(RING);
+        let ring = (config.rob_size as usize + 1)
+            .next_power_of_two()
+            .min(MAX_RING);
         CoreModel {
             width: config.dispatch_width,
             rob_size: config.rob_size as usize,
@@ -166,9 +137,7 @@ impl CoreModel {
             completions: vec![0.0; ring],
             ring_mask: ring - 1,
             op_index: 0,
-            rob: vec![(0.0, Cause::Base); config.rob_size as usize],
-            rob_head: 0,
-            rob_len: 0,
+            rob: VecDeque::with_capacity(config.rob_size as usize + 1),
             last_retire: start_time,
             fu_free: [[0.0; 8]; rppm_trace::op::NUM_PORT_POOLS],
             mshr: vec![0.0; config.mshrs as usize],
@@ -178,7 +147,6 @@ impl CoreModel {
             stalls: CpiStack::default(),
             overhead: 0.0,
             counters: CoreCounters::default(),
-            fused: 0,
         }
     }
 
@@ -225,11 +193,12 @@ impl CoreModel {
         self.overhead
     }
 
-    /// Instruction fetch and front-end stalls: charge an I-cache refill when
-    /// execution enters a new code line (S1), then apply any pending
-    /// front-end stall — misprediction redirect or I-cache refill (S2).
-    #[inline(always)]
-    fn fetch(&mut self, op: &MicroOp, mem: &mut MemorySystem, core_id: usize) {
+    /// Processes one micro-op, advancing the thread's timing state.
+    pub fn process(&mut self, op: &MicroOp, mem: &mut MemorySystem, core_id: usize) {
+        self.counters.ops += 1;
+
+        // Instruction fetch: charge a front-end stall on an I-cache miss
+        // whenever execution enters a new code line.
         if op.code_line != self.last_code_line {
             self.last_code_line = op.code_line;
             let stall = mem.icache_access(core_id, op.code_line);
@@ -241,6 +210,8 @@ impl CoreModel {
                 }
             }
         }
+
+        // Front-end stall (misprediction redirect or I-cache refill).
         if self.fe_stall_until > self.cycle {
             attribute(
                 &mut self.stalls,
@@ -250,19 +221,10 @@ impl CoreModel {
             self.cycle = self.fe_stall_until;
             self.dispatched = 0;
         }
-    }
 
-    /// Window entry: ROB availability (S3), dispatch-width throttle (S4) and
-    /// register readiness (S5). Returns the op's ready time.
-    #[inline(always)]
-    fn dispatch_ready(&mut self, op: &MicroOp) -> f64 {
-        if self.rob_len == self.rob_size {
-            let (retire, cause) = self.rob[self.rob_head];
-            self.rob_head += 1;
-            if self.rob_head == self.rob_size {
-                self.rob_head = 0;
-            }
-            self.rob_len -= 1;
+        // ROB availability: dispatch stalls until the head retires.
+        if self.rob.len() >= self.rob_size {
+            let (retire, cause) = self.rob.pop_front().expect("rob nonempty");
             if retire > self.cycle {
                 attribute(&mut self.stalls, cause, retire - self.cycle);
                 self.cycle = retire;
@@ -270,6 +232,7 @@ impl CoreModel {
             }
         }
 
+        // Dispatch-width throttle.
         if self.dispatched >= self.width {
             self.cycle += 1.0;
             self.dispatched = 0;
@@ -277,81 +240,28 @@ impl CoreModel {
         let dispatch_time = self.cycle;
         self.dispatched += 1;
 
-        // Distances beyond `ring_mask` (>= rob_size + 1) are provably
-        // no-ops — the producer retired before the S3 pop above and `cycle`
-        // already covers its completion (see the note on [`RING`]).
+        // Register readiness. Distances beyond `ring_mask` are provable
+        // no-ops (see `completions`).
         let mut ready = dispatch_time;
-        let d1 = op.src1 as usize;
-        if d1 != 0 && d1 <= self.ring_mask && (d1 as u64) <= self.op_index {
-            let idx = ((self.op_index as usize).wrapping_sub(d1)) & self.ring_mask;
-            ready = ready.max(self.completions[idx]);
+        for d in [op.src1 as usize, op.src2 as usize] {
+            if d != 0 && d <= self.ring_mask && (d as u64) <= self.op_index {
+                let idx = (self.op_index as usize).wrapping_sub(d) & self.ring_mask;
+                ready = ready.max(self.completions[idx]);
+            }
         }
-        let d2 = op.src2 as usize;
-        if d2 != 0 && d2 <= self.ring_mask && (d2 as u64) <= self.op_index {
-            let idx = ((self.op_index as usize).wrapping_sub(d2)) & self.ring_mask;
-            ready = ready.max(self.completions[idx]);
-        }
-        ready
-    }
 
-    /// Least-loaded issue port in `pool` (S6).
-    #[inline(always)]
-    fn pick_port(&self, pool: usize) -> usize {
+        // Functional-unit port: the least-loaded one in the class's pool.
+        let class = op.class;
+        let pool = class.port_pool();
         let nports = self.ports[pool] as usize;
-        let fu = &self.fu_free[pool];
+        let fu = &mut self.fu_free[pool];
         let mut port = 0;
         for p in 1..nports {
             if fu[p] < fu[port] {
                 port = p;
             }
         }
-        port
-    }
-
-    /// Retirement bookkeeping shared by every class (S8–S9).
-    #[inline(always)]
-    fn retire(&mut self, complete: f64, cause: Cause) {
-        let retire = complete.max(self.last_retire);
-        self.last_retire = retire;
-        let mut tail = self.rob_head + self.rob_len;
-        if tail >= self.rob_size {
-            tail -= self.rob_size;
-        }
-        self.rob[tail] = (retire, cause);
-        self.rob_len += 1;
-        self.completions[(self.op_index as usize) & self.ring_mask] = complete;
-        self.op_index += 1;
-    }
-
-    /// Hot path: a compute op (class index < [`NUM_COMPUTE_CLASSES`]) with
-    /// its latency/pool/pipelining taken from the const tables. Touches
-    /// neither the data memory system nor the predictor.
-    #[inline(always)]
-    fn exec_compute(&mut self, op: &MicroOp, c: usize) {
-        self.counters.ops += 1;
-        let ready = self.dispatch_ready(op);
-        let pool = COMPUTE_POOL[c];
-        let port = self.pick_port(pool);
-        let fu = &mut self.fu_free[pool];
         let issue = ready.max(fu[port]);
-        let complete = issue + COMPUTE_LAT[c];
-        fu[port] = if COMPUTE_PIPELINED[c] {
-            issue + 1.0
-        } else {
-            complete
-        };
-        self.retire(complete, Cause::Base);
-    }
-
-    /// Cold path: loads, stores and branches (plus a general fallback for
-    /// compute classes so [`CoreModel::process`] stays total).
-    fn exec_other(&mut self, op: &MicroOp, mem: &mut MemorySystem, core_id: usize) {
-        self.counters.ops += 1;
-        let ready = self.dispatch_ready(op);
-        let class = op.class;
-        let pool = class.port_pool();
-        let port = self.pick_port(pool);
-        let issue = ready.max(self.fu_free[pool][port]);
         let mut start = issue;
 
         let (complete, cause) = match class {
@@ -406,39 +316,22 @@ impl CoreModel {
             _ => (start + class.latency() as f64, Cause::Base),
         };
 
-        self.fu_free[pool][port] = if class.pipelined() {
+        fu[port] = if class.pipelined() {
             issue + 1.0
         } else {
             complete
         };
-        self.retire(complete, cause);
-    }
 
-    /// Processes one micro-op, advancing the thread's timing state.
-    pub fn process(&mut self, op: &MicroOp, mem: &mut MemorySystem, core_id: usize) {
-        self.fetch(op, mem, core_id);
-        let c = op.class.index();
-        if c < NUM_COMPUTE_CLASSES {
-            self.exec_compute(op, c);
-        } else {
-            self.exec_other(op, mem, core_id);
-        }
+        // In-order retirement.
+        let retire = complete.max(self.last_retire);
+        self.last_retire = retire;
+        self.rob.push_back((retire, cause));
+        self.completions[(self.op_index as usize) & self.ring_mask] = complete;
+        self.op_index += 1;
     }
 
     /// Processes a prefix of `ops`, stopping after the first op that pushes
-    /// the clock past `limit`. Returns `(ops_used, over_limit)` — exactly
-    /// the contract of a per-op [`CoreModel::process`] loop with a
-    /// `time() > limit` check after each op, but dispatched hot-first and
-    /// with superinstruction fusion of compute pairs.
-    ///
-    /// Fusion soundness: the second member of a fused pair skips
-    /// `CoreModel::fetch`. That is a provable no-op there — (a) its
-    /// code line equals the first member's (the fusion condition), which the
-    /// first member just stored in `last_code_line`, so the I-cache check
-    /// would not fire; and (b) `fe_stall_until <= cycle` holds after the
-    /// first member's fetch (which jumped the clock past any pending stall)
-    /// because a compute op never raises `fe_stall_until` and the clock only
-    /// moves forward. Timing is therefore bit-identical to the naive loop.
+    /// the clock past `limit`. Returns `(ops_used, over_limit)`.
     pub fn run_ops(
         &mut self,
         ops: &[MicroOp],
@@ -446,44 +339,13 @@ impl CoreModel {
         core_id: usize,
         limit: f64,
     ) -> (usize, bool) {
-        let n = ops.len();
-        let mut i = 0;
-        while i < n {
-            let op = &ops[i];
-            let c = op.class.index();
-            i += 1;
-            if c < NUM_COMPUTE_CLASSES {
-                self.fetch(op, mem, core_id);
-                self.exec_compute(op, c);
-                if self.cycle > limit {
-                    return (i, true);
-                }
-                // Superinstruction: fuse a same-code-line compute successor
-                // into this dispatch action, skipping its front-end re-check
-                // (see the soundness note above). The quantum check between
-                // the members already happened, so the fused pair never
-                // overshoots the scheduling contract.
-                if i < n {
-                    let op2 = &ops[i];
-                    let c2 = op2.class.index();
-                    if c2 < NUM_COMPUTE_CLASSES && op2.code_line == op.code_line {
-                        i += 1;
-                        self.fused += 1;
-                        self.exec_compute(op2, c2);
-                        if self.cycle > limit {
-                            return (i, true);
-                        }
-                    }
-                }
-            } else {
-                self.fetch(op, mem, core_id);
-                self.exec_other(op, mem, core_id);
-                if self.cycle > limit {
-                    return (i, true);
-                }
+        for (i, op) in ops.iter().enumerate() {
+            self.process(op, mem, core_id);
+            if self.cycle > limit {
+                return (i + 1, true);
             }
         }
-        (n, false)
+        (ops.len(), false)
     }
 
     /// Finishes the thread: drains the ROB and returns the final time.
@@ -503,13 +365,6 @@ impl CoreModel {
     /// Execution counters.
     pub fn counters(&self) -> &CoreCounters {
         &self.counters
-    }
-
-    /// Dispatch statistics: `(dispatch_actions, fused_pairs)`. A fused
-    /// superinstruction pair retires two ops in one dispatch action, so
-    /// `dispatch_actions = ops - fused_pairs`.
-    pub fn dispatch_stats(&self) -> (u64, u64) {
-        (self.counters.ops - self.fused, self.fused)
     }
 
     /// Observed branch misprediction rate.
@@ -534,57 +389,54 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_tables_match_opclass() {
-        for c in 0..NUM_COMPUTE_CLASSES {
-            let class = OpClass::ALL[c];
-            assert!(!class.is_mem() && class != OpClass::Branch);
-            assert_eq!(COMPUTE_LAT[c], class.latency() as f64, "{class}");
-            assert_eq!(COMPUTE_POOL[c], class.port_pool(), "{class}");
-            assert_eq!(COMPUTE_PIPELINED[c], class.pipelined(), "{class}");
+    fn long_dependence_distances_match_full_ring() {
+        // Dependence distances far beyond the ROB size: the default ring
+        // skips these reads outright (they are provable no-ops — see
+        // `CoreModel::completions`), while a ring covering every `u16`
+        // distance performs them. Timing must still agree to the bit.
+        let ops = BlockSpec::new(40_000, 99)
+            .deps(1.0, 700.0)
+            .deps2(0.5)
+            .fp(0.2, 0.2)
+            .expand();
+        for dp in [
+            DesignPoint::Smallest,
+            DesignPoint::Base,
+            DesignPoint::Biggest,
+        ] {
+            let cfg = dp.config();
+            let mut mem_a = MemorySystem::new(&cfg);
+            let mut small = CoreModel::new(&cfg, 0.0);
+            assert!(small.ring_mask < MAX_RING - 1, "{dp:?}");
+            let mut mem_b = MemorySystem::new(&cfg);
+            let mut wide = CoreModel::new(&cfg, 0.0);
+            wide.completions = vec![0.0; MAX_RING];
+            wide.ring_mask = MAX_RING - 1;
+            for op in &ops {
+                small.process(op, &mut mem_a, 0);
+                wide.process(op, &mut mem_b, 0);
+            }
+            assert_eq!(small.finish().to_bits(), wide.finish().to_bits(), "{dp:?}");
+            let (x, y) = (small.stalls(), wide.stalls());
+            for (a, b) in [
+                (x.branch, y.branch),
+                (x.icache, y.icache),
+                (x.mem_l2, y.mem_l2),
+                (x.mem_l3, y.mem_l3),
+                (x.mem_dram, y.mem_dram),
+                (x.sync, y.sync),
+            ] {
+                assert_eq!(a.to_bits(), b.to_bits(), "{dp:?}");
+            }
         }
-        // Everything past the compute prefix is memory or branch.
-        for class in &OpClass::ALL[NUM_COMPUTE_CLASSES..] {
-            assert!(class.is_mem() || *class == OpClass::Branch);
-        }
-    }
-
-    #[test]
-    fn run_ops_matches_per_op_process() {
-        let cfg = DesignPoint::Base.config();
-        let spec = BlockSpec::new(20_000, 11)
-            .loads(0.25)
-            .stores(0.1)
-            .branches(0.1)
-            .deps(0.3, 4.0);
-        let ops: Vec<_> = spec.expand();
-
-        let mut mem_a = MemorySystem::new(&cfg);
-        let mut a = CoreModel::new(&cfg, 0.0);
-        for op in &ops {
-            a.process(op, &mut mem_a, 0);
-        }
-
-        let mut mem_b = MemorySystem::new(&cfg);
-        let mut b = CoreModel::new(&cfg, 0.0);
-        let (used, over) = b.run_ops(&ops, &mut mem_b, 0, f64::INFINITY);
-        assert_eq!(used, ops.len());
-        assert!(!over);
-
-        assert_eq!(a.time().to_bits(), b.time().to_bits());
-        assert_eq!(a.drain_time().to_bits(), b.drain_time().to_bits());
-        assert_eq!(a.counters().mispredicts, b.counters().mispredicts);
-        assert_eq!(a.stalls().mem_dram.to_bits(), b.stalls().mem_dram.to_bits());
-        let (dispatches, fused) = b.dispatch_stats();
-        assert!(fused > 0, "compute-heavy block must fuse pairs");
-        assert_eq!(dispatches + fused, b.counters().ops);
     }
 
     #[test]
     fn run_ops_respects_limit_per_op() {
         let cfg = DesignPoint::Base.config();
         let ops: Vec<_> = BlockSpec::new(5_000, 3).deps(0.3, 4.0).expand();
-        // Replay with a limit: the batched loop must stop exactly where the
-        // naive per-op loop stops.
+        // Replay with a limit: `run_ops` must stop exactly where a per-op
+        // loop with a quantum check stops.
         let mut mem_a = MemorySystem::new(&cfg);
         let mut a = CoreModel::new(&cfg, 0.0);
         let limit = 200.0;

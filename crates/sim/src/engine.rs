@@ -12,108 +12,24 @@
 //! per scheduling step and thread counts far beyond the paper's 4–8 stay
 //! cheap.
 //!
-//! The engine is generic over two plug points, both monomorphized away in
-//! the default build: the per-thread timing model (a `CoreTiming` — the
-//! optimized [`CoreModel`] or the pinned naive dispatch in
-//! [`crate::reference`]) and a [`SimProbe`] observation hook
-//! ([`NoProbe`] by default, a [`ProfileCollector`] under
-//! [`simulate_profiled`]). Uninterrupted op runs are handed to the core as
-//! whole zero-copy block slices (`CoreTiming::run_ops`), keeping the
-//! per-op quantum bookkeeping out of this loop; the cold synchronization
-//! path stays here.
+//! The engine is generic over the op source (an expansion-backed
+//! [`Program`](rppm_trace::Program) or an out-of-core
+//! [`OpReplay`](rppm_trace::OpReplay), both [`ExecSource`]s) and over a
+//! [`SimProbe`] observation hook ([`NoProbe`] in [`simulate`],
+//! monomorphized away). Uninterrupted op runs are handed
+//! to the thread's [`CoreModel`] as whole zero-copy block slices
+//! ([`CoreModel::run_ops`]), keeping the per-op quantum bookkeeping out of
+//! this loop; the cold synchronization path stays here.
 
-use crate::core::{CoreCounters, CoreModel};
+use crate::core::CoreModel;
 use crate::mem::MemorySystem;
-use crate::simprof::{NoProbe, ProfileCollector, SimProbe, SimProfile};
+use crate::simprof::{NoProbe, SimProbe};
 use rppm_core::sched::EventQueue;
-use rppm_trace::{
-    BlockItem, CpiStack, ExecSource, MachineConfig, MicroOp, OpReplay, Program, SyncOp,
-    ThreadCursor,
-};
+use rppm_trace::{BlockItem, CpiStack, ExecSource, MachineConfig, SyncOp, ThreadCursor};
 use std::collections::{HashMap, VecDeque};
 
 /// Scheduling quantum in cycles.
 const QUANTUM: f64 = 500.0;
-
-/// A per-thread timing model the engine can schedule.
-///
-/// Implemented by the optimized [`CoreModel`] and by the naive
-/// reference core (see [`crate::reference`]); both must produce
-/// bit-identical timing, which the differential equivalence tests pin.
-pub(crate) trait CoreTiming {
-    /// Creates a core in reset state with its clock at `start_time`.
-    fn new(config: &MachineConfig, start_time: f64) -> Self;
-    /// Current thread-local time in cycles.
-    fn time(&self) -> f64;
-    /// Sets the initial clock (thread creation).
-    fn set_start_time(&mut self, t: f64);
-    /// Advances the clock to `t`, charging the jump to sync.
-    fn resume_at(&mut self, t: f64);
-    /// Charges sync-library overhead cycles.
-    fn charge_sync_overhead(&mut self, cycles: f64);
-    /// Total sync-library overhead charged.
-    fn sync_overhead_charged(&self) -> f64;
-    /// Drains in-flight ops and returns the final time.
-    fn finish(&mut self) -> f64;
-    /// Stall attribution accumulated so far.
-    fn stalls(&self) -> &CpiStack;
-    /// Execution counters.
-    fn counters(&self) -> &CoreCounters;
-    /// `(dispatch_actions, fused_pairs)` taken so far.
-    fn dispatch_stats(&self) -> (u64, u64);
-    /// Processes a prefix of `ops`, stopping after the first op that pushes
-    /// the clock past `limit`; returns `(ops_used, over_limit)`.
-    fn run_ops(
-        &mut self,
-        ops: &[MicroOp],
-        mem: &mut MemorySystem,
-        core_id: usize,
-        limit: f64,
-    ) -> (usize, bool);
-}
-
-impl CoreTiming for CoreModel {
-    fn new(config: &MachineConfig, start_time: f64) -> Self {
-        CoreModel::new(config, start_time)
-    }
-    fn time(&self) -> f64 {
-        self.time()
-    }
-    fn set_start_time(&mut self, t: f64) {
-        self.set_start_time(t)
-    }
-    fn resume_at(&mut self, t: f64) {
-        self.resume_at(t)
-    }
-    fn charge_sync_overhead(&mut self, cycles: f64) {
-        self.charge_sync_overhead(cycles)
-    }
-    fn sync_overhead_charged(&self) -> f64 {
-        self.sync_overhead_charged()
-    }
-    fn finish(&mut self) -> f64 {
-        self.finish()
-    }
-    fn stalls(&self) -> &CpiStack {
-        self.stalls()
-    }
-    fn counters(&self) -> &CoreCounters {
-        self.counters()
-    }
-    fn dispatch_stats(&self) -> (u64, u64) {
-        self.dispatch_stats()
-    }
-    #[inline]
-    fn run_ops(
-        &mut self,
-        ops: &[MicroOp],
-        mem: &mut MemorySystem,
-        core_id: usize,
-        limit: f64,
-    ) -> (usize, bool) {
-        self.run_ops(ops, mem, core_id, limit)
-    }
-}
 
 /// Dynamic synchronization-event counts by paper category (Table III).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -216,8 +132,8 @@ enum Status {
     Done,
 }
 
-struct ThreadCtx<C> {
-    core: C,
+struct ThreadCtx {
+    core: CoreModel,
     status: Status,
     block_time: f64,
     start: f64,
@@ -281,77 +197,30 @@ impl RwLockState {
     }
 }
 
-/// Simulates `program` on `config`, returning the golden-reference timing.
+/// Simulates `source` (an expansion-backed [`Program`](rppm_trace::Program)
+/// or a recorded op stream replayed out-of-core) on `config`, returning the
+/// golden-reference timing. A replayed stream simulates bit-identically to
+/// the program it was recorded from.
 ///
 /// # Panics
 ///
 /// Panics if the program is structurally invalid (see
-/// [`Program::validate`]), uses more threads than the machine has cores, or
-/// deadlocks (e.g. consuming from a queue nothing ever produces).
-pub fn simulate(program: &Program, config: &MachineConfig) -> SimResult {
-    run_simulation::<CoreModel, _, _>(program, config, &mut NoProbe)
+/// [`Program::validate`](rppm_trace::Program::validate)), uses more threads
+/// than the machine has cores, or deadlocks (e.g. consuming from a queue
+/// nothing ever produces).
+pub fn simulate<S: ExecSource>(source: &S, config: &MachineConfig) -> SimResult {
+    simulate_with_probe(source, config, &mut NoProbe)
 }
 
-/// Simulates a recorded op stream replayed out-of-core (see
-/// [`OpReplay`]) on `config`. The result is bit-identical to
-/// [`simulate`] on the program the stream was recorded from — pinned by
-/// the differential suite in `tests/replay_differential.rs`.
-///
-/// # Panics
-///
-/// Same conditions as [`simulate`].
-pub fn simulate_replay(replay: &OpReplay, config: &MachineConfig) -> SimResult {
-    run_simulation::<CoreModel, _, _>(replay, config, &mut NoProbe)
-}
-
-/// Simulates `program` on `config` with a [`SimProbe`] observing the
-/// dispatch loop. With [`NoProbe`] this monomorphizes to exactly
+/// [`simulate`] with a [`SimProbe`] observing the dispatch loop (e.g. a
+/// [`ProfileCollector`](crate::ProfileCollector) for the simulator
+/// self-profile). With [`NoProbe`] this monomorphizes to exactly
 /// [`simulate`]; the timing result never depends on the probe.
 ///
 /// # Panics
 ///
 /// Same conditions as [`simulate`].
-pub fn simulate_with_probe<P: SimProbe>(
-    program: &Program,
-    config: &MachineConfig,
-    probe: &mut P,
-) -> SimResult {
-    run_simulation::<CoreModel, _, _>(program, config, probe)
-}
-
-/// Simulates `program` on `config` while collecting the simulator
-/// self-profile (op frequencies, pair histogram, sync mix, dispatch-batch
-/// shapes, fusion statistics). The [`SimResult`] is bit-identical to
-/// [`simulate`]'s.
-///
-/// # Panics
-///
-/// Same conditions as [`simulate`].
-pub fn simulate_profiled(program: &Program, config: &MachineConfig) -> (SimResult, SimProfile) {
-    let mut collector = ProfileCollector::new();
-    let result = run_simulation::<CoreModel, _, _>(program, config, &mut collector);
-    (result, collector.into_profile())
-}
-
-/// [`simulate_profiled`] over a replayed op stream instead of an
-/// expansion-backed program.
-///
-/// # Panics
-///
-/// Same conditions as [`simulate`].
-pub fn simulate_profiled_replay(
-    replay: &OpReplay,
-    config: &MachineConfig,
-) -> (SimResult, SimProfile) {
-    let mut collector = ProfileCollector::new();
-    let result = run_simulation::<CoreModel, _, _>(replay, config, &mut collector);
-    (result, collector.into_profile())
-}
-
-/// Validates inputs and runs the engine with the given timing model and
-/// probe over any [`ExecSource`] (expansion-backed program or out-of-core
-/// replay). Shared by the optimized and reference entry points.
-pub(crate) fn run_simulation<C: CoreTiming, S: ExecSource, P: SimProbe>(
+pub fn simulate_with_probe<S: ExecSource, P: SimProbe>(
     source: &S,
     config: &MachineConfig,
     probe: &mut P,
@@ -368,17 +237,17 @@ pub(crate) fn run_simulation<C: CoreTiming, S: ExecSource, P: SimProbe>(
         source.num_threads(),
         config.cores
     );
-    Engine::<C, S>::new(source, config).run(probe)
+    Engine::new(source, config).run(probe)
 }
 
-struct Engine<'p, C, S: ExecSource> {
+struct Engine<'p, S: ExecSource> {
     config: &'p MachineConfig,
     source: &'p S,
     /// Per-thread stream cursors, parallel to `threads`. Kept separate so
     /// the zero-copy op slices a cursor lends out can be fed to a core
     /// model while the shared memory system is mutated.
     cursors: Vec<ThreadCursor<'p>>,
-    threads: Vec<ThreadCtx<C>>,
+    threads: Vec<ThreadCtx>,
     mem: MemorySystem,
     barriers: HashMap<u32, BarrierState>,
     participants: HashMap<u32, usize>,
@@ -396,13 +265,13 @@ struct Engine<'p, C, S: ExecSource> {
     queue: EventQueue,
 }
 
-impl<'p, C: CoreTiming, S: ExecSource> Engine<'p, C, S> {
+impl<'p, S: ExecSource> Engine<'p, S> {
     fn new(source: &'p S, config: &'p MachineConfig) -> Self {
         let n = source.num_threads();
         let cursors = (0..n).map(|t| source.cursor(t)).collect();
         let threads = (0..n)
             .map(|i| ThreadCtx {
-                core: C::new(config, 0.0),
+                core: CoreModel::new(config, 0.0),
                 status: if i == 0 {
                     Status::Ready
                 } else {
@@ -503,7 +372,7 @@ impl<'p, C: CoreTiming, S: ExecSource> Engine<'p, C, S> {
 
     /// Handles one synchronization event for thread `i`. Returns `true` if
     /// the thread blocked. This is the cold path of the run loop: every op
-    /// between two sync events flows through `CoreTiming::run_ops` without
+    /// between two sync events flows through [`CoreModel::run_ops`] without
     /// touching any of this bookkeeping.
     #[cold]
     fn handle_sync(&mut self, i: usize, op: SyncOp) -> bool {
@@ -758,9 +627,8 @@ impl<'p, C: CoreTiming, S: ExecSource> Engine<'p, C, S> {
             }
         }
 
-        for (i, th) in self.threads.iter().enumerate() {
-            let (dispatches, fused) = th.core.dispatch_stats();
-            probe.on_thread_finish(i, dispatches, fused);
+        for i in 0..self.threads.len() {
+            probe.on_thread_finish(i);
         }
 
         self.collect()
@@ -1165,7 +1033,9 @@ mod tests {
         b.join_workers();
         let p = b.build();
         let plain = simulate(&p, &base());
-        let (probed, profile) = simulate_profiled(&p, &base());
+        let mut collector = crate::ProfileCollector::new();
+        let probed = simulate_with_probe(&p, &base(), &mut collector);
+        let profile = collector.into_profile();
         assert_eq!(plain.total_cycles.to_bits(), probed.total_cycles.to_bits());
         for (a, b) in plain.threads.iter().zip(probed.threads.iter()) {
             assert_eq!(a.finish.to_bits(), b.finish.to_bits());
@@ -1180,11 +1050,6 @@ mod tests {
             profile.sync,
             plain.sync_events
         );
-        assert_eq!(
-            profile.dispatches + profile.fused_pairs,
-            profile.total_ops()
-        );
-        assert!(profile.fused_pairs > 0, "compute blocks must fuse");
         assert!(profile.threads.iter().all(|t| t.runs > 0));
     }
 }

@@ -7,6 +7,12 @@
 //! tournament branch predictor ([`TournamentPredictor`]), and an execution
 //! engine implementing full synchronization semantics ([`simulate`]).
 //!
+//! There is one core timing model and two entry points: [`simulate`] runs
+//! any [`ExecSource`](rppm_trace::ExecSource) — an expansion-backed
+//! program or a recorded op stream replayed out-of-core — and
+//! [`simulate_with_probe`] does the same under a [`SimProbe`], such as the
+//! [`ProfileCollector`] behind `rppm sim-profile`.
+//!
 //! The simulator and the analytical model (`rppm-core`) share *only* the
 //! workload IR and [`MachineConfig`](rppm_trace::MachineConfig) — the model
 //! never observes simulator internals, mirroring the paper's methodology.
@@ -36,16 +42,14 @@ pub mod cache;
 pub mod core;
 pub mod engine;
 pub mod mem;
-pub mod reference;
 pub mod simprof;
 
 pub use crate::core::{CoreCounters, CoreModel};
 pub use bpred::TournamentPredictor;
 pub use cache::SetAssocCache;
-pub use engine::{
-    simulate, simulate_profiled, simulate_profiled_replay, simulate_replay, simulate_with_probe,
-    SimResult, SyncEventCounts, ThreadResult,
-};
+/// [`simulate`] under its out-of-core name, for callers replaying an
+/// [`OpReplay`](rppm_trace::OpReplay).
+pub use engine::simulate as simulate_replay;
+pub use engine::{simulate, simulate_with_probe, SimResult, SyncEventCounts, ThreadResult};
 pub use mem::{MemStats, MemorySystem, ServiceLevel};
-pub use reference::{simulate_reference, simulate_reference_profiled, simulate_reference_replay};
 pub use simprof::{NoProbe, ProfileCollector, SimProbe, SimProfile, SyncMix, ThreadShape};

@@ -1,20 +1,17 @@
 //! Simulator self-profiling: cheap dynamic counters behind a zero-cost hook.
 //!
 //! The golden simulator is itself an interpreter — a dispatch loop over
-//! dynamic micro-ops — so it profits from the same profile-guided
-//! optimization playbook as any bytecode VM: count what actually executes,
-//! then reorder the dispatch hot-first and fuse the dominant op sequences
-//! into superinstructions. This module is the measurement half of that loop.
+//! dynamic micro-ops — so the first question about its speed is what
+//! actually executes. This module answers it.
 //!
 //! A [`SimProbe`] is threaded through the engine's run loop. The default
 //! [`NoProbe`] has empty inline methods, so `simulate()` monomorphizes to
 //! exactly the unprobed code — profiling is zero-cost when off. A
 //! [`ProfileCollector`] records per-[`OpClass`] execution frequencies, the
-//! dynamic op-*pair* histogram (the superinstruction candidates), the
-//! synchronization-event mix, and per-thread dispatch-batch shapes, and
-//! folds them into a [`SimProfile`] that serializes to deterministic JSON —
-//! committed under `results/` so the optimization stays data-driven and
-//! regression-visible.
+//! dynamic op-*pair* histogram, the synchronization-event mix, and
+//! per-thread dispatch-batch shapes, and folds them into a [`SimProfile`]
+//! that serializes to deterministic JSON — pinned by a golden baseline so
+//! the simulator's workload stays regression-visible.
 
 use rppm_trace::op::NUM_OP_CLASSES;
 use rppm_trace::{MicroOp, OpClass, SyncOp};
@@ -39,12 +36,10 @@ pub trait SimProbe {
         let _ = (thread, op);
     }
 
-    /// Called once per thread after the whole program finished, with the
-    /// core's dispatch statistics: total dispatch actions taken and how
-    /// many of them were fused superinstruction pairs.
+    /// Called once per thread after the whole program finished.
     #[inline]
-    fn on_thread_finish(&mut self, thread: usize, dispatches: u64, fused_pairs: u64) {
-        let _ = (thread, dispatches, fused_pairs);
+    fn on_thread_finish(&mut self, thread: usize) {
+        let _ = thread;
     }
 }
 
@@ -105,8 +100,7 @@ impl SyncMix {
 ///
 /// A *run* is one uninterrupted op batch handed to the core model (a
 /// consumed prefix of a zero-copy trace block, bounded by block ends, sync
-/// events and quantum expiry) — exactly the unit the superinstruction
-/// fuser works within.
+/// events and quantum expiry).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ThreadShape {
     /// Micro-ops dispatched on this thread.
@@ -126,17 +120,12 @@ pub struct SimProfile {
     pub op_freq: [u64; NUM_OP_CLASSES],
     /// Dynamic op-pair histogram: `pairs[a][b]` counts op of class `b`
     /// immediately following class `a` on the same thread. Adjacency is
-    /// tracked across dispatch batches and reset at synchronization events
-    /// (a sync breaks any fusion opportunity).
+    /// tracked across dispatch batches and reset at synchronization events.
     pub pairs: [[u64; NUM_OP_CLASSES]; NUM_OP_CLASSES],
     /// Synchronization-event mix.
     pub sync: SyncMix,
     /// Per-thread dispatch-batch shapes.
     pub threads: Vec<ThreadShape>,
-    /// Dispatch actions taken by the cores (a fused pair is one action).
-    pub dispatches: u64,
-    /// Superinstruction pairs handled in a single dispatch.
-    pub fused_pairs: u64,
 }
 
 impl Default for SimProfile {
@@ -146,8 +135,6 @@ impl Default for SimProfile {
             pairs: [[0; NUM_OP_CLASSES]; NUM_OP_CLASSES],
             sync: SyncMix::default(),
             threads: Vec::new(),
-            dispatches: 0,
-            fused_pairs: 0,
         }
     }
 }
@@ -156,26 +143,6 @@ impl SimProfile {
     /// Total executed micro-ops.
     pub fn total_ops(&self) -> u64 {
         self.op_freq.iter().sum()
-    }
-
-    /// Fraction of ops retired through a fused pair dispatch.
-    pub fn fused_fraction(&self) -> f64 {
-        let ops = self.total_ops();
-        if ops == 0 {
-            0.0
-        } else {
-            (2 * self.fused_pairs) as f64 / ops as f64
-        }
-    }
-
-    /// Dispatch reduction achieved by fusion: `1 - dispatches / ops`.
-    pub fn dispatch_reduction(&self) -> f64 {
-        let ops = self.total_ops();
-        if ops == 0 {
-            0.0
-        } else {
-            1.0 - self.dispatches as f64 / ops as f64
-        }
     }
 
     /// The `n` most frequent dynamic op pairs, most frequent first.
@@ -221,8 +188,6 @@ impl SimProfile {
             t.longest_run = t.longest_run.max(o.longest_run);
             t.syncs += o.syncs;
         }
-        self.dispatches += other.dispatches;
-        self.fused_pairs += other.fused_pairs;
     }
 
     /// Serializes the profile to a deterministic JSON object (stable key
@@ -232,8 +197,6 @@ impl SimProfile {
         let mut s = String::with_capacity(1024);
         s.push('{');
         let _ = write!(s, "\"ops\":{}", self.total_ops());
-        let _ = write!(s, ",\"dispatches\":{}", self.dispatches);
-        let _ = write!(s, ",\"fused_pairs\":{}", self.fused_pairs);
         s.push_str(",\"op_freq\":{");
         for (k, class) in OpClass::ALL.iter().enumerate() {
             if k > 0 {
@@ -371,10 +334,8 @@ impl SimProbe for ProfileCollector {
         }
     }
 
-    fn on_thread_finish(&mut self, thread: usize, dispatches: u64, fused_pairs: u64) {
+    fn on_thread_finish(&mut self, thread: usize) {
         self.shape(thread);
-        self.profile.dispatches += dispatches;
-        self.profile.fused_pairs += fused_pairs;
     }
 }
 
@@ -448,7 +409,6 @@ mod tests {
     fn merge_accumulates() {
         let mut a = SimProfile::default();
         a.op_freq[0] = 5;
-        a.dispatches = 5;
         a.threads.push(ThreadShape {
             ops: 5,
             runs: 1,
@@ -457,13 +417,9 @@ mod tests {
         });
         let mut b = SimProfile::default();
         b.op_freq[0] = 3;
-        b.fused_pairs = 1;
-        b.dispatches = 2;
         b.threads = vec![ThreadShape::default(), ThreadShape::default()];
         a.merge(&b);
         assert_eq!(a.op_freq[0], 8);
-        assert_eq!(a.dispatches, 7);
-        assert_eq!(a.fused_pairs, 1);
         assert_eq!(a.threads.len(), 2);
     }
 
@@ -471,7 +427,7 @@ mod tests {
     fn json_is_deterministic_and_parseable_shape() {
         let mut c = ProfileCollector::new();
         c.on_ops(0, &[op(OpClass::IntAlu), op(OpClass::Load)]);
-        c.on_thread_finish(0, 2, 0);
+        c.on_thread_finish(0);
         let p = c.into_profile();
         let s = p.to_json_string();
         assert_eq!(s, p.to_json_string());
@@ -492,6 +448,6 @@ mod tests {
                 id: rppm_trace::MutexId(0),
             },
         );
-        p.on_thread_finish(0, 1, 0);
+        p.on_thread_finish(0);
     }
 }

@@ -3,13 +3,10 @@
 //! stream must be bit-identical to [`rppm_sim::simulate`] on the program
 //! it was recorded from — timings, CPI stacks, intervals, sync counts and
 //! the self-profiling probe output — across all five Table IV design
-//! points, through both the optimized and the naive reference core.
+//! points.
 
 use proptest::prelude::*;
-use rppm_sim::{
-    simulate, simulate_profiled, simulate_profiled_replay, simulate_reference,
-    simulate_reference_replay, simulate_replay, SimResult,
-};
+use rppm_sim::{simulate, simulate_replay, simulate_with_probe, ProfileCollector, SimResult};
 use rppm_trace::{
     AddressPattern, BlockSpec, DesignPoint, OpReplay, Program, ProgramBuilder, StreamOptions,
 };
@@ -117,16 +114,21 @@ fn probe_output_matches_from_replay() {
     rppm_trace::write_program_ops(&program, &path).expect("record");
     let replay = OpReplay::open(&path).expect("open");
     let cfg = DesignPoint::Base.config();
-    let (res_a, prof_a) = simulate_profiled(&program, &cfg);
-    let (res_b, prof_b) = simulate_profiled_replay(&replay, &cfg);
+    let (mut probe_a, mut probe_b) = (ProfileCollector::new(), ProfileCollector::new());
+    let res_a = simulate_with_probe(&program, &cfg, &mut probe_a);
+    let res_b = simulate_with_probe(&replay, &cfg, &mut probe_b);
     assert_bit_identical(&res_a, &res_b, "profiled");
-    assert_eq!(prof_a, prof_b, "self-profile probe output diverges");
+    assert_eq!(
+        probe_a.into_profile(),
+        probe_b.into_profile(),
+        "self-profile probe output diverges"
+    );
 }
 
 #[test]
-fn reference_core_matches_from_replay_under_tiny_chunks() {
+fn replay_matches_expansion_under_tiny_chunks() {
     let program = rich_program();
-    let path = tmp_path("ref");
+    let path = tmp_path("tiny");
     let _guard = TempFile(path.clone());
     rppm_trace::write_program_ops(&program, &path).expect("record");
     // Out-of-core worst case: 5-op chunks, 64-byte pool, no mmap.
@@ -141,13 +143,9 @@ fn reference_core_matches_from_replay_under_tiny_chunks() {
     )
     .expect("open");
     let cfg = DesignPoint::Base.config();
-    let a = simulate_reference(&program, &cfg);
-    let b = simulate_reference_replay(&replay, &cfg);
-    assert_bit_identical(&a, &b, "reference core");
-    // And the optimized core agrees with both (the existing equivalence
-    // property, now holding across the replay boundary too).
-    let c = simulate_replay(&replay, &cfg);
-    assert_bit_identical(&a, &c, "optimized core from replay");
+    let a = simulate(&program, &cfg);
+    let b = simulate_replay(&replay, &cfg);
+    assert_bit_identical(&a, &b, "tiny chunks");
 }
 
 proptest! {

@@ -7,8 +7,9 @@
 //! signature — thread/synchronization structure (Table III), working-set
 //! and sharing behaviour (LLC MPKI up to ~40, MLP up to ~5), instruction
 //! mix, branch predictability, and the parallel (im)balance categories of
-//! Figure 6. See DESIGN.md §4 for the substitution rationale and the
-//! per-benchmark characterizations.
+//! Figure 6. PAPER.md ("Map: paper section → crate") gives the
+//! substitution rationale; each generator in [`rodinia`] and [`parsec`]
+//! documents its own benchmark's characterization.
 //!
 //! Dynamic synchronization counts are scaled down relative to Table III to
 //! keep golden-reference simulation fast; every generator documents its

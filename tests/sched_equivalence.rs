@@ -1,14 +1,16 @@
 //! Differential property suite for the shared discrete-event scheduler
 //! ([`rppm::core::EventQueue`]): the min-heap must reproduce the retired
-//! linear scan event for event, and the engines built on it must stay
-//! bit-identical to each other on random *high-thread-count* fork-join
-//! programs — including the format-v2 synchronization ops (reader-writer
-//! locks, counting semaphores) that post wakeups through the queue.
+//! linear scan event for event, and the simulator built on it must
+//! schedule an in-memory program and its out-of-core replay bit-identically
+//! on random *high-thread-count* fork-join programs — including the
+//! format-v2 synchronization ops (reader-writer locks, counting semaphores)
+//! that post wakeups through the queue.
 
 use proptest::prelude::*;
 use rppm::core::EventQueue;
-use rppm::sim::{simulate, simulate_reference, SimResult};
-use rppm::trace::{BlockSpec, DesignPoint, Program, ProgramBuilder};
+use rppm::sim::{simulate, SimResult};
+use rppm::trace::{BlockSpec, DesignPoint, OpReplay, Program, ProgramBuilder};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The retired scheduler: a linear scan over every live `(key, thread)`
 /// entry picking the **first** entry with the strictly smallest key —
@@ -64,6 +66,21 @@ fn rw_sem_program(n_threads: usize, phases: usize, ops: u32, seed: u64) -> Progr
     b.build()
 }
 
+/// Records `p`'s op stream to a temporary file and opens it for replay; the
+/// file is removed again once opened (the replay holds its own handle).
+fn replay_of(p: &Program) -> OpReplay {
+    static SEQ: AtomicUsize = AtomicUsize::new(0);
+    let path = std::env::temp_dir().join(format!(
+        "rppm-sched-test-{}-{}.rpt",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    rppm::trace::write_program_ops(p, &path).expect("record op stream");
+    let replay = OpReplay::open(&path).expect("open op stream");
+    let _ = std::fs::remove_file(&path);
+    replay
+}
+
 /// Asserts two simulation results are bit-for-bit identical (the schedule,
 /// not just the total, must match).
 fn assert_identical(a: &SimResult, b: &SimResult) {
@@ -111,8 +128,9 @@ proptest! {
     }
 
     /// High-thread-count fork-join programs exercising the v2 sync ops:
-    /// the fused engine and the naive reference share the event queue and
-    /// must produce bit-identical schedules at every design point.
+    /// the expansion-backed and the replay-backed op sources drive the same
+    /// engine and event queue and must produce bit-identical schedules at
+    /// every design point.
     #[test]
     fn high_thread_count_engines_stay_bit_identical(
         n_threads in 8usize..96,
@@ -125,7 +143,7 @@ proptest! {
         // One core per thread: the engines enforce the paper's
         // thread-per-core assumption, so scaling threads scales cores.
         let cfg = DesignPoint::ALL[point].config_with_cores(n_threads as u32);
-        assert_identical(&simulate(&p, &cfg), &simulate_reference(&p, &cfg));
+        assert_identical(&simulate(&p, &cfg), &simulate(&replay_of(&p), &cfg));
     }
 
     /// The logical profiler walks the same programs with its own inline
@@ -142,30 +160,4 @@ proptest! {
         prop_assert!(prof.is_consistent());
         prop_assert_eq!(prof.threads.len(), n_threads);
     }
-}
-
-/// A 1024-thread mostly-idle program is exactly the shape the heap exists
-/// for; it must still produce the same answer as the reference engine
-/// (the perf half of this claim lives in the `sched` bench group).
-#[test]
-fn mostly_idle_1024_threads_matches_reference() {
-    let n = 1024;
-    let mut b = ProgramBuilder::new("mostly-idle", n);
-    let bar = b.alloc_barrier();
-    b.spawn_workers();
-    for t in 0..n {
-        let mut tb = b.thread(t as u32);
-        // Thread 0 does the real work; the other 1023 block almost
-        // immediately and wait at the barrier.
-        let ops = if t == 0 { 20_000 } else { 10 };
-        tb.block(BlockSpec::new(ops, 7 ^ t as u64));
-        tb.barrier(bar);
-    }
-    b.join_workers();
-    let p = b.build();
-    let cfg = DesignPoint::Base.config_with_cores(n as u32);
-    let a = simulate(&p, &cfg);
-    let r = simulate_reference(&p, &cfg);
-    assert_eq!(a.total_cycles.to_bits(), r.total_cycles.to_bits());
-    assert_eq!(a.threads.len(), r.threads.len());
 }

@@ -1,16 +1,10 @@
-//! Differential property suite for the profile-guided simulator engine:
-//! superinstruction fusion, hot-first dispatch, the MRU cache fast path and
-//! chunked block expansion must be **bit-identical** to the naive
-//! one-op-at-a-time reference engine — the PGO loop changes cost, never
-//! results. Random programs (thread counts, op mixes, dependence chains,
-//! sync patterns) × random design points, plus every catalog workload, and
-//! the self-profiling probe must observe the same op stream from both
-//! engines.
+//! Property suite for the simulator's self-profiling probe: a probed run
+//! must be **bit-identical** to an unprobed one on random programs (thread
+//! counts, op mixes, dependence chains, sync patterns) × random design
+//! points, and the probe must see exactly the op stream the cores executed.
 
 use proptest::prelude::*;
-use rppm::sim::{
-    simulate, simulate_profiled, simulate_reference, simulate_reference_profiled, SimResult,
-};
+use rppm::sim::{simulate, simulate_with_probe, ProfileCollector, SimProfile, SimResult};
 use rppm::trace::{AddressPattern, BlockSpec, DesignPoint, Program, ProgramBuilder};
 use rppm::workloads::{by_name, Params};
 
@@ -41,6 +35,14 @@ fn assert_identical(a: &SimResult, b: &SimResult) {
     }
     prop_assert_eq!(&a.sync_events, &b.sync_events);
     prop_assert_eq!(&a.intervals, &b.intervals);
+}
+
+/// Simulates `p` under a [`ProfileCollector`], returning the timing and the
+/// self-profile.
+fn simulate_profiled(p: &Program, cfg: &rppm::trace::MachineConfig) -> (SimResult, SimProfile) {
+    let mut collector = ProfileCollector::new();
+    let result = simulate_with_probe(p, cfg, &mut collector);
+    (result, collector.into_profile())
 }
 
 /// Builds a random fork-join program: `n_threads` workers, each running
@@ -90,34 +92,9 @@ fn random_program(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random program × random design point: the fused engine equals the
-    /// naive reference bit for bit.
-    #[test]
-    fn fused_engine_is_bit_identical_to_reference(
-        n_threads in 1usize..6,
-        blocks in 1usize..4,
-        ops in 200u32..3000,
-        seed in 0u64..1000,
-        loads in 0.0f64..0.5,
-        stores in 0.0f64..0.3,
-        branches in 0.0f64..0.3,
-        dep_p in 0.0f64..0.8,
-        dep_mean in 1.0f64..200.0,
-        footprint in 1u64..40,
-        point in 0usize..5,
-    ) {
-        let p = random_program(
-            n_threads, blocks, ops, seed, loads, stores, branches, dep_p, dep_mean, footprint,
-        );
-        let cfg = DesignPoint::ALL[point].config();
-        let a = simulate(&p, &cfg);
-        let r = simulate_reference(&p, &cfg);
-        assert_identical(&a, &r);
-    }
-
-    /// The self-profiling probe observes the same executed op stream from
-    /// both engines (identical frequencies, pairs and sync mix) and does
-    /// not perturb timing.
+    /// The self-profiling probe does not perturb timing, and it observes
+    /// exactly the executed op stream: the op mix and the per-thread op
+    /// counts account for every op the cores ran.
     #[test]
     fn probe_observes_identical_streams(
         n_threads in 1usize..5,
@@ -128,50 +105,13 @@ proptest! {
         let p = random_program(n_threads, 2, ops, seed, 0.3, 0.1, 0.1, 0.4, 8.0, 7);
         let cfg = DesignPoint::ALL[point].config();
         let plain = simulate(&p, &cfg);
-        let (probed, after) = simulate_profiled(&p, &cfg);
-        let (_, before) = simulate_reference_profiled(&p, &cfg);
+        let (probed, prof) = simulate_profiled(&p, &cfg);
         assert_identical(&plain, &probed);
-        prop_assert_eq!(&after.op_freq, &before.op_freq, "executed op mix must match");
-        prop_assert_eq!(&after.pairs, &before.pairs, "dynamic op pairs must match");
-        prop_assert_eq!(&after.sync, &before.sync);
-        prop_assert_eq!(before.fused_pairs, 0, "reference never fuses");
-        prop_assert_eq!(before.dispatches, before.total_ops());
-        prop_assert!(after.dispatches <= before.dispatches);
-    }
-
-    /// Catalog workloads at random seeds: the real benchmark generators
-    /// (producer/consumer queues, locks, cond barriers, task queues) hit
-    /// sync paths the random fork-join programs don't.
-    #[test]
-    fn catalog_workloads_match_reference(
-        which in 0usize..30,
-        seed in 1u64..100,
-        point in 0usize..5,
-    ) {
-        let benches = rppm::workloads::all();
-        let bench = &benches[which];
-        let p = bench.build(&Params { scale: 0.02, seed });
-        let cfg = DesignPoint::ALL[point].config();
-        let a = simulate(&p, &cfg);
-        let r = simulate_reference(&p, &cfg);
-        assert_identical(&a, &r);
-    }
-}
-
-/// Single-op and empty-block degenerate shapes (fusion windows can't
-/// straddle what doesn't exist).
-#[test]
-fn degenerate_programs_match_reference() {
-    for (n_threads, ops) in [(1usize, 1u32), (1, 2), (2, 1), (4, 3)] {
-        let p = random_program(n_threads, 1, ops, 7, 0.5, 0.2, 0.2, 0.5, 2.0, 3);
-        let cfg = DesignPoint::Base.config();
-        let a = simulate(&p, &cfg);
-        let r = simulate_reference(&p, &cfg);
-        assert_eq!(
-            a.total_cycles.to_bits(),
-            r.total_cycles.to_bits(),
-            "{n_threads} threads x {ops} ops"
-        );
+        prop_assert_eq!(prof.total_ops(), plain.total_ops(), "executed op mix must match");
+        prop_assert_eq!(prof.threads.len(), plain.threads.len());
+        for (shape, t) in prof.threads.iter().zip(&plain.threads) {
+            prop_assert_eq!(shape.ops, t.ops);
+        }
     }
 }
 
