@@ -2,13 +2,13 @@
 
 use super::{is_help, take_jobs};
 use crate::args::{ArgStream, CliError};
-use rppm::core::{find_best, sweep, ConfigSpace, Constraints, DseError};
-use rppm::docs::{describe_config as describe, dse_best_doc, dse_bounds_ladder, dse_sweep_doc};
+use rppm::core::{sweep, ConfigSpace, Constraints, DseError};
+use rppm::docs::{describe_config as describe, dse_bounds_ladder, dse_sweep_doc};
 use rppm::trace::{read_machine, DesignPoint};
 use rppm::Session;
 
 const USAGE: &str = "usage: rppm dse WORKLOAD [--scale S] [--seed N] [--jobs N]
-       [--max-area A] [--max-power P] [--bound B] [--tiny] [--best-only]
+       [--max-area A] [--max-power P] [--bound B] [--tiny]
        [--machine FILE] [--json]
 
 Profiles WORKLOAD once, precomputes the configuration-independent model
@@ -20,9 +20,7 @@ over (time, area, power) and the candidate counts within --bound
 
 --max-area / --max-power filter points by first-order resource proxies
 (arbitrary units; see rppm_core::area_proxy). --tiny swaps in the fixed
-12-point golden space. --best-only skips the frontier and hunts only the
-optimum, pruning points whose throughput lower bound cannot beat the
-running best. --machine FILE builds the space around the `.machine`
+12-point golden space. --machine FILE builds the space around the `.machine`
 description in FILE instead of the paper's base design point (the swept
 axes override its core geometry; everything else is inherited). --json
 emits the machine-readable twin.";
@@ -36,7 +34,6 @@ pub fn run(argv: Vec<String>) -> Result<i32, CliError> {
     let mut constraints = Constraints::none();
     let mut bound = 0.05f64;
     let mut tiny = false;
-    let mut best_only = false;
     let mut machine: Option<String> = None;
     let mut json = false;
     while let Some(arg) = args.next() {
@@ -54,7 +51,6 @@ pub fn run(argv: Vec<String>) -> Result<i32, CliError> {
             "--max-power" => constraints.max_power = Some(args.parse_of(&arg)?),
             "--bound" => bound = args.parse_of(&arg)?,
             "--tiny" => tiny = true,
-            "--best-only" => best_only = true,
             "--machine" => machine = Some(args.value_of(&arg)?),
             "--json" => json = true,
             _ if arg.is_flag() => return Err(args.unknown(&arg)),
@@ -86,35 +82,6 @@ pub fn run(argv: Vec<String>) -> Result<i32, CliError> {
     };
 
     let dse_err = |e: DseError| CliError::user(format!("{workload}: {e}"));
-
-    if best_only {
-        let out =
-            find_best(prepared.inner(), &space, &constraints, bound, jobs).map_err(dse_err)?;
-        let cfg = space.config(out.best.index);
-        if json {
-            let doc = dse_best_doc(&workload, &space, &out);
-            println!("{}", serde_json::to_string(&doc).expect("doc serializes"));
-        } else {
-            println!(
-                "{workload}: {} points, {} feasible, {} pruned without evaluation",
-                out.points, out.feasible, out.pruned
-            );
-            println!(
-                "best: #{} {} -> {:.6} ms (area {:.1}, power {:.1})",
-                out.best.index,
-                describe(&cfg),
-                out.best.seconds * 1e3,
-                out.best.area,
-                out.best.power
-            );
-            println!(
-                "{} candidate design(s) within {:.0}% of the predicted optimum",
-                out.candidates,
-                out.bound * 100.0
-            );
-        }
-        return Ok(0);
-    }
 
     let bounds = dse_bounds_ladder(bound);
     let out = sweep(prepared.inner(), &space, &constraints, &bounds, jobs).map_err(dse_err)?;

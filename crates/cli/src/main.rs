@@ -14,7 +14,28 @@
 //!
 //! User errors (missing files, bad magic, unknown workloads, malformed
 //! flags) exit with status 2 and a one-line `error: ...` message — never a
-//! panic or a backtrace. Regression gates that detect drift exit 1.
+//! panic or a backtrace. Regression gates that detect drift exit 1. A
+//! reader closing stdout early (`rppm report table4 | head -1`) ends the
+//! run quietly with status 0.
+
+/// This binary's `print!`: like the standard macro, except that a closed
+/// stdout ends the process quietly (see [`write_stdout`]). Defined before
+/// the modules so it shadows the prelude macro everywhere in the crate.
+macro_rules! print {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!($($arg)*), false)
+    };
+}
+
+/// This binary's `println!`; see [`print!`].
+macro_rules! println {
+    () => {
+        $crate::write_stdout(format_args!(""), true)
+    };
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!($($arg)*), true)
+    };
+}
 
 mod args;
 mod commands;
@@ -53,6 +74,28 @@ run `rppm <command> --help` for each command's usage.";
 
 fn main() {
     std::process::exit(run());
+}
+
+/// Writes to stdout for [`print!`] / [`println!`]. When the reader has
+/// gone away (`EPIPE`), there is nobody left to report to: exit with
+/// status 0 instead of panicking. Other write errors panic like the
+/// standard macros do.
+fn write_stdout(args: std::fmt::Arguments<'_>, newline: bool) {
+    use std::io::Write;
+    let mut out = std::io::stdout().lock();
+    let written = out.write_fmt(args).and_then(|()| {
+        if newline {
+            out.write_all(b"\n")
+        } else {
+            Ok(())
+        }
+    });
+    drop(out);
+    match written {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => panic!("failed printing to stdout: {e}"),
+    }
 }
 
 fn run() -> i32 {

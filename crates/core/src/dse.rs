@@ -16,10 +16,8 @@
 //!   stand-ins, in arbitrary units);
 //! * [`sweep`] — the batched evaluation of every feasible point through a
 //!   [`PreparedProfile`], fanned out over worker threads, with
-//!   Pareto-frontier extraction over (time, area, power);
-//! * [`find_best`] — the time-optimum hunt with **early pruning**: points
-//!   whose admissible lower bound already exceeds the running optimum are
-//!   skipped without a full Equation-1 evaluation;
+//!   Pareto-frontier extraction over (time, area, power), the predicted
+//!   optimum and the candidates within each requested bound of it;
 //! * [`evaluate_choice`] / [`dse_row`] — the paper's deficiency metric:
 //!   how much slower the model-chosen design is than the true (simulated)
 //!   optimum.
@@ -27,7 +25,6 @@
 use crate::par::parallel_map;
 use crate::prepared::PreparedProfile;
 use rppm_trace::{BranchPredictorConfig, CacheGeometry, MachineConfig};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Candidate-set slack: absolute epsilon added to the relative bound so a
 /// design predicted *exactly* at the boundary stays a candidate despite
@@ -569,117 +566,6 @@ fn summarize(
     })
 }
 
-/// Result of a pruned optimum hunt ([`find_best`]).
-#[derive(Debug, Clone, Copy)]
-pub struct DseBest {
-    /// Size of the enumerated space.
-    pub points: usize,
-    /// Points passing the constraint filter.
-    pub feasible: usize,
-    /// Feasible points fully evaluated (the rest were pruned).
-    pub pruned: usize,
-    /// The predicted-time optimum (identical to [`sweep`]'s: pruning never
-    /// discards a potential optimum or bound-candidate).
-    pub best: DsePoint,
-    /// Feasible points predicted within `bound` of the optimum.
-    pub candidates: usize,
-    /// The bound the hunt preserved candidates for.
-    pub bound: f64,
-}
-
-/// Finds the predicted-time optimum with **early pruning against a running
-/// optimum**: a feasible point whose admissible lower bound (peak
-/// throughput over the heaviest thread's operation count — per-epoch time
-/// can never beat `ops / dispatch_width` cycles) already exceeds
-/// `(1 + bound) ×` the best time seen so far is skipped without a full
-/// evaluation. The returned optimum and candidate count are identical to
-/// an unpruned [`sweep`] over the same space: only points that can be
-/// neither the optimum nor a bound-candidate are pruned. The *amount*
-/// pruned depends on evaluation order — with `jobs > 1` it varies run to
-/// run; `jobs == 1` is deterministic.
-///
-/// # Errors
-///
-/// Same conditions as [`sweep`].
-pub fn find_best(
-    prep: &PreparedProfile,
-    space: &ConfigSpace,
-    constraints: &Constraints,
-    bound: f64,
-    jobs: usize,
-) -> Result<DseBest, DseError> {
-    let n = space.len();
-    if n == 0 {
-        return Err(DseError::EmptySpace);
-    }
-    // Admissible numerator: the heaviest thread's operation count. Total
-    // time is at least that thread's active time, and every epoch needs at
-    // least ops / dispatch_width cycles (Deff ≤ width).
-    let heaviest_ops = prep
-        .profile()
-        .threads
-        .iter()
-        .map(|t| t.epochs.iter().map(|e| e.ops).sum::<u64>())
-        .max()
-        .unwrap_or(0) as f64;
-    // Running optimum in seconds, shared across workers. For positive
-    // floats the bit pattern is order-preserving as u64, so a fetch_min on
-    // the bits is a fetch_min on the values.
-    let running = AtomicU64::new(f64::INFINITY.to_bits());
-    let jobs = jobs.clamp(1, n);
-    let chunk = n.div_ceil(jobs);
-    let per_worker: Vec<(Vec<DsePoint>, usize, usize)> = parallel_map(jobs, jobs, |w| {
-        let mut batch = prep.batched();
-        let mut out = Vec::new();
-        let mut feasible = 0usize;
-        let mut pruned = 0usize;
-        for index in (w * chunk)..((w + 1) * chunk).min(n) {
-            let config = space.config(index);
-            let area = area_proxy(&config);
-            let power = power_proxy(&config);
-            if !constraints.admits(area, power) {
-                continue;
-            }
-            feasible += 1;
-            let current = f64::from_bits(running.load(Ordering::Relaxed));
-            let lower = heaviest_ops / config.peak_ops_per_second();
-            if lower > current * (1.0 + bound) + BOUND_EPSILON {
-                pruned += 1;
-                continue;
-            }
-            let seconds = config.cycles_to_seconds(batch.eval(&config));
-            running.fetch_min(seconds.to_bits(), Ordering::Relaxed);
-            out.push(DsePoint {
-                index,
-                seconds,
-                area,
-                power,
-            });
-        }
-        (out, feasible, pruned)
-    });
-    let feasible: usize = per_worker.iter().map(|(_, f, _)| f).sum();
-    let pruned: usize = per_worker.iter().map(|(_, _, p)| p).sum();
-    let evaluated: Vec<DsePoint> = per_worker.into_iter().flat_map(|(v, _, _)| v).collect();
-    if evaluated.is_empty() {
-        return Err(DseError::NoFeasiblePoint { points: n });
-    }
-    let best = *evaluated
-        .iter()
-        .min_by(|a, b| a.seconds.total_cmp(&b.seconds).then(a.index.cmp(&b.index)))
-        .expect("nonempty");
-    let limit = best.seconds * (1.0 + bound) + BOUND_EPSILON;
-    let candidates = evaluated.iter().filter(|p| p.seconds <= limit).count();
-    Ok(DseBest {
-        points: n,
-        feasible,
-        pruned,
-        best,
-        candidates,
-        bound,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -913,38 +799,6 @@ mod tests {
                 points: space.len()
             }
         );
-    }
-
-    #[test]
-    fn find_best_agrees_with_sweep_and_prunes_soundly() {
-        let prep = prepared();
-        // A space with genuinely different peak throughputs so the lower
-        // bound can prune: the fast-wide family enumerates first (the core
-        // axis varies slowest), seeding the running optimum the slow-narrow
-        // family's lower bound cannot beat.
-        let mut space = small_space();
-        space.cores = vec![
-            CoreFamily {
-                freq_ghz: 5.0,
-                width: 6,
-                rob: 288,
-            },
-            CoreFamily {
-                freq_ghz: 0.5,
-                width: 2,
-                rob: 64,
-            },
-        ];
-        for bound in [0.0, 0.05] {
-            let full = sweep(&prep, &space, &Constraints::none(), &[bound], 1).unwrap();
-            let fast = find_best(&prep, &space, &Constraints::none(), bound, 1).unwrap();
-            assert_eq!(fast.best.index, full.best.index);
-            assert_eq!(fast.best.seconds.to_bits(), full.best.seconds.to_bits());
-            assert_eq!(fast.candidates, full.candidates[0].1, "bound {bound}");
-            assert_eq!(fast.feasible, full.feasible);
-        }
-        let fast = find_best(&prep, &space, &Constraints::none(), 0.0, 1).unwrap();
-        assert!(fast.pruned > 0, "10x peak gap should prune");
     }
 
     #[test]

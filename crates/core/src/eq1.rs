@@ -34,7 +34,7 @@
 //! The arithmetic downstream of the StatStack queries is shared between the
 //! scalar entry points and the batched design-space path
 //! ([`crate::prepared`]): [`predict_epoch`] builds the stack-distance models
-//! and reads the calibration environment on every call, while a
+//! on every call and uses the default [`Knobs`], while a
 //! [`crate::PreparedProfile`] computes the same [`RawRates`] once per
 //! distinct cache geometry and replays them through the same inner function
 //! ([`predict_epoch_rated`]) — the two paths are bit-identical by
@@ -62,26 +62,24 @@ pub struct EpochPrediction {
     pub mlp: f64,
 }
 
-/// Calibration knobs, hoisted out of the per-epoch hot path.
+/// Calibration knobs of the Equation 1 refinements.
 ///
-/// The scalar path re-reads the environment on every [`predict_epoch`] call
-/// (so ablation harnesses can flip variables between calls); the batched
-/// path captures them once per [`crate::PreparedProfile`].
+/// The scalar path ([`predict_epoch`], [`crate::predict()`]) always uses
+/// [`Knobs::default`], the calibrated model. Other settings exist for the
+/// ablation study and are a value, not process state: build a
+/// [`crate::PreparedProfile::with_knobs`] and predict through it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Knobs {
     /// Path-selection factor for memory-aware branch resolution
-    /// (`RPPM_KAPPA`, default 3.0).
+    /// (default 3.0).
     pub kappa: f64,
-    /// Effective-MLP utilization factor (`RPPM_MLP_EFF`, default 0.85).
+    /// Effective-MLP utilization factor (default 0.85).
     pub mlp_eff: f64,
-    /// MSHR-capacity fraction usable by overlapping misses
-    /// (`RPPM_MLP_CAP`, default 0.75).
+    /// MSHR-capacity fraction usable by overlapping misses (default 0.75).
     pub mlp_cap: f64,
-    /// Disable the in-order retirement-exposure term
-    /// (`RPPM_NO_EXPOSURE=1`, ablation only).
+    /// Disable the in-order retirement-exposure term (ablation only).
     pub no_exposure: bool,
-    /// Disable the dependence-chain lower bound
-    /// (`RPPM_NO_CHAIN_BOUND=1`, ablation only).
+    /// Disable the dependence-chain lower bound (ablation only).
     pub no_chain_bound: bool,
 }
 
@@ -93,26 +91,6 @@ impl Default for Knobs {
             mlp_cap: 0.75,
             no_exposure: false,
             no_chain_bound: false,
-        }
-    }
-}
-
-impl Knobs {
-    /// Reads the calibration environment (`RPPM_KAPPA`, `RPPM_MLP_EFF`,
-    /// `RPPM_MLP_CAP`, `RPPM_NO_EXPOSURE`, `RPPM_NO_CHAIN_BOUND`).
-    pub fn from_env() -> Self {
-        let f = |name: &str, default: f64| -> f64 {
-            std::env::var(name)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(default)
-        };
-        Knobs {
-            kappa: f("RPPM_KAPPA", 3.0),
-            mlp_eff: f("RPPM_MLP_EFF", 0.85),
-            mlp_cap: f("RPPM_MLP_CAP", 0.75),
-            no_exposure: std::env::var("RPPM_NO_EXPOSURE").is_ok_and(|v| v == "1"),
-            no_chain_bound: std::env::var("RPPM_NO_CHAIN_BOUND").is_ok_and(|v| v == "1"),
         }
     }
 }
@@ -183,7 +161,7 @@ pub(crate) fn empty_epoch_prediction() -> EpochPrediction {
 /// `epoch.ops` must be nonzero (callers handle the empty-epoch early
 /// return). `curves` supplies the ILP/MLP interpolations and `rates` the
 /// raw model queries for this `(epoch, config)` cell; `knobs` carries the
-/// calibration environment.
+/// calibration.
 pub fn predict_epoch_rated<C: CurveSource + ?Sized>(
     epoch: &EpochProfile,
     config: &MachineConfig,
@@ -300,8 +278,8 @@ pub fn predict_epoch_rated<C: CurveSource + ?Sized>(
         let exposure = (lat - drain).max(0.0);
         windows * exposure * (1.0 - (-per_window).exp())
     };
-    // (RPPM_NO_EXPOSURE=1 disables the retirement-exposure term — ablation
-    // harness only.)
+    // (`Knobs::no_exposure` disables the retirement-exposure term —
+    // ablation only.)
     let win_l2 = if knobs.no_exposure {
         0.0
     } else {
@@ -366,8 +344,8 @@ pub fn predict_epoch_rated<C: CurveSource + ?Sized>(
     // critical path evaluated with the *expected* load latency including
     // DRAM misses. Pointer-chasing code (serialized misses spanning window
     // boundaries) is governed by this bound rather than by the additive
-    // components; any excess is memory time. (RPPM_NO_CHAIN_BOUND=1
-    // disables it — ablation harness only.)
+    // components; any excess is memory time. (`Knobs::no_chain_bound`
+    // disables it — ablation only.)
     let l_chain = l_eff + r3 * (c_mem - lat_l1);
     if knobs.no_chain_bound {
         return EpochPrediction {
@@ -412,7 +390,7 @@ pub fn predict_epoch(epoch: &EpochProfile, config: &MachineConfig) -> EpochPredi
         l1i: icache_model.miss_rate_geom(&config.l1i),
         bmiss: rppm_branch_model::predict_miss_rate(&epoch.branch, &config.bpred),
     };
-    predict_epoch_rated(epoch, config, epoch, rates, &Knobs::from_env())
+    predict_epoch_rated(epoch, config, epoch, rates, &Knobs::default())
 }
 
 /// Variant used by the MAIN/CRIT baselines and by the original
@@ -433,7 +411,7 @@ pub fn predict_epoch_isolated(epoch: &EpochProfile, config: &MachineConfig) -> E
         l1i: icache_model.miss_rate_geom(&config.l1i),
         bmiss: rppm_branch_model::predict_miss_rate(&epoch.branch, &config.bpred),
     };
-    predict_epoch_rated(epoch, config, epoch, rates, &Knobs::from_env())
+    predict_epoch_rated(epoch, config, epoch, rates, &Knobs::default())
 }
 
 #[cfg(test)]
@@ -579,13 +557,6 @@ mod tests {
             assert_eq!(fast.cycles.to_bits(), slow.cycles.to_bits(), "{dp}");
             assert_eq!(fast.mlp.to_bits(), slow.mlp.to_bits(), "{dp}");
         }
-    }
-
-    #[test]
-    fn env_knobs_match_defaults() {
-        // Without the RPPM_* variables set, from_env equals the defaults.
-        let k = Knobs::from_env();
-        assert_eq!(k, Knobs::default());
     }
 
     #[test]

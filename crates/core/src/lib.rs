@@ -50,20 +50,20 @@ pub mod eq1;
 pub mod predict;
 pub mod prepared;
 pub mod report;
-pub mod sched;
 pub mod symexec;
 
 pub use accumulation::{accumulation_bias, accumulation_error};
 pub use bottlegraph::{BottleBox, Bottlegraph};
 pub use dse::{
-    area_proxy, dse_row, evaluate_choice, find_best, pareto_frontier, power_proxy, sweep,
-    ConfigSpace, Constraints, CoreFamily, DseBest, DseChoice, DseError, DsePoint, DseRow, DseSweep,
+    area_proxy, dse_row, evaluate_choice, pareto_frontier, power_proxy, sweep, ConfigSpace,
+    Constraints, CoreFamily, DseChoice, DseError, DsePoint, DseRow, DseSweep,
 };
-pub use eq1::{predict_epoch, predict_epoch_isolated, EpochPrediction};
+pub use eq1::{predict_epoch, predict_epoch_isolated, EpochPrediction, Knobs};
 pub use predict::{predict, predict_crit, predict_main, Prediction, ThreadPrediction};
 pub use prepared::{BatchedEq1, PreparedProfile};
 pub use report::{abs_pct_error, max, mean, signed_pct_error};
 pub use rppm_trace::par;
 pub use rppm_trace::par::{default_jobs, parallel_for, parallel_map};
-pub use sched::EventQueue;
+pub use rppm_trace::sched;
+pub use rppm_trace::sched::EventQueue;
 pub use symexec::{execute, Schedule, ThreadSchedule, ThreadTimeline};

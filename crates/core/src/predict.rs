@@ -1,7 +1,7 @@
 //! Top-level prediction: RPPM and the naive MAIN / CRIT baselines.
 
 use crate::eq1::{predict_epoch, predict_epoch_isolated, EpochPrediction};
-use crate::symexec::{execute, Schedule, ThreadTimeline};
+use crate::symexec::{execute, ThreadTimeline};
 use rppm_profiler::ApplicationProfile;
 use rppm_trace::{CpiStack, MachineConfig};
 
@@ -48,29 +48,6 @@ impl Prediction {
     }
 }
 
-fn predict_with(
-    profile: &ApplicationProfile,
-    config: &MachineConfig,
-    per_epoch: impl Fn(&rppm_profiler::EpochProfile, &MachineConfig) -> EpochPrediction,
-) -> (Vec<Vec<EpochPrediction>>, Schedule) {
-    let epoch_preds: Vec<Vec<EpochPrediction>> = profile
-        .threads
-        .iter()
-        .map(|t| t.epochs.iter().map(|e| per_epoch(e, config)).collect())
-        .collect();
-    let timelines: Vec<ThreadTimeline> = profile
-        .threads
-        .iter()
-        .zip(&epoch_preds)
-        .map(|(t, preds)| ThreadTimeline {
-            epochs: preds.iter().map(|p| p.cycles).collect(),
-            events: t.events.clone(),
-        })
-        .collect();
-    let schedule = execute(&timelines, config);
-    (epoch_preds, schedule)
-}
-
 /// Predicts multi-threaded execution time with the full RPPM model:
 /// per-epoch active times from Equation 1 (using the multi-threaded
 /// StatStack extension for shared-cache and coherence effects), then
@@ -81,19 +58,33 @@ fn predict_with(
 /// Panics if the profile is structurally inconsistent.
 pub fn predict(profile: &ApplicationProfile, config: &MachineConfig) -> Prediction {
     assert!(profile.is_consistent(), "inconsistent profile");
-    let (epoch_preds, schedule) = predict_with(profile, config, predict_epoch);
-    assemble(profile, config, epoch_preds, schedule)
+    let epoch_preds = profile
+        .threads
+        .iter()
+        .map(|t| t.epochs.iter().map(|e| predict_epoch(e, config)).collect())
+        .collect();
+    assemble(profile, config, epoch_preds)
 }
 
-/// Builds the full [`Prediction`] from per-epoch predictions plus the
-/// symbolic-execution schedule — shared by [`predict`] and
+/// Builds the full [`Prediction`] from per-epoch predictions: runs the
+/// symbolic execution over their cycles and folds its schedule into
+/// per-thread CPI stacks — shared by [`predict`] and
 /// `PreparedProfile::predict`.
 pub(crate) fn assemble(
     profile: &ApplicationProfile,
     config: &MachineConfig,
     epoch_preds: Vec<Vec<EpochPrediction>>,
-    schedule: Schedule,
 ) -> Prediction {
+    let timelines: Vec<ThreadTimeline> = profile
+        .threads
+        .iter()
+        .zip(&epoch_preds)
+        .map(|(t, preds)| ThreadTimeline {
+            epochs: preds.iter().map(|p| p.cycles).collect(),
+            events: t.events.clone(),
+        })
+        .collect();
+    let schedule = execute(&timelines, config);
     let threads: Vec<ThreadPrediction> = epoch_preds
         .into_iter()
         .zip(&schedule.threads)

@@ -2,8 +2,8 @@
 //! per-configuration loop.
 //!
 //! A scalar [`predict`](crate::predict()) call rebuilds three
-//! [`StackDistanceModel`]s per epoch, re-reads the calibration environment
-//! and re-derives the ILP/MLP interpolation tables on every invocation —
+//! [`StackDistanceModel`]s per epoch and re-derives the ILP/MLP
+//! interpolation tables on every invocation —
 //! irrelevant for one prediction, dominant when a design-space sweep
 //! evaluates 10⁵ configurations from one profile. [`PreparedProfile`]
 //! performs all of that **once**:
@@ -12,9 +12,9 @@
 //!   kernels repeat the same per-epoch profile many times),
 //! * builds the private/global/instruction stack-distance models and the
 //!   precomputed [`EpochCurves`] interpolation tables per *distinct* epoch,
-//! * captures the calibration [`Knobs`] from the environment,
-//! * flattens the thread timelines and precomputes the barrier-participant
-//!   counts consumed by the symbolic execution.
+//! * holds the calibration [`Knobs`] it predicts with (the defaults, or an
+//!   ablation variant through [`PreparedProfile::with_knobs`]),
+//! * flattens the thread timelines for the symbolic execution.
 //!
 //! [`BatchedEq1`] is the matching evaluator: a structure-of-arrays sweep
 //! loop that memoizes StatStack and branch-predictor queries per distinct
@@ -26,8 +26,8 @@
 //! **Bit-identity contract**: every path through this module reproduces the
 //! scalar pipeline exactly — the same [`predict_epoch_rated`] arithmetic
 //! body, curve tables proven bit-identical to the profile methods, and the
-//! same symbolic-execution engine. With no `RPPM_*` calibration variables
-//! set between preparation and evaluation, [`BatchedEq1::eval`] equals
+//! same symbolic-execution engine. With the default knobs,
+//! [`BatchedEq1::eval`] equals
 //! [`predict`](crate::predict())`(...).total_cycles` to the last bit (pinned by the
 //! `dse_equivalence` differential property suite).
 //!
@@ -55,9 +55,7 @@
 
 use crate::eq1::{empty_epoch_prediction, predict_epoch_rated, EpochPrediction, Knobs, RawRates};
 use crate::predict::{assemble, Prediction};
-use crate::symexec::{
-    barrier_participants, execute, execute_total, FlatTimelines, SymScratch, ThreadTimeline,
-};
+use crate::symexec::{execute_total, FlatTimelines, SymScratch};
 use rppm_profiler::{ApplicationProfile, EpochCurves, EpochProfile};
 use rppm_statstack::StackDistanceModel;
 use rppm_trace::{CacheGeometry, MachineConfig, SyncOp};
@@ -96,20 +94,29 @@ pub struct PreparedProfile {
     cell_of: Vec<usize>,
     /// Per-thread `(offset, len)` into the flat epoch order.
     ranges: Vec<(usize, usize)>,
-    /// Barrier participant counts (pure profile property).
-    participants: HashMap<u32, usize>,
 }
 
 impl PreparedProfile {
     /// Performs the one-time precomputation for `profile`: epoch
-    /// deduplication, stack-distance model and curve-table construction,
-    /// calibration capture (the `RPPM_*` environment is read **here**, not
-    /// per evaluation) and timeline flattening.
+    /// deduplication, stack-distance model and curve-table construction and
+    /// timeline flattening. Predictions use the default [`Knobs`], exactly
+    /// like the scalar path.
     ///
     /// # Panics
     ///
     /// Panics if the profile is structurally inconsistent.
     pub fn new(profile: Arc<ApplicationProfile>) -> Self {
+        Self::with_knobs(profile, Knobs::default())
+    }
+
+    /// [`PreparedProfile::new`] predicting with calibration `knobs` (the
+    /// ablation study's variants); the only way to predict with anything
+    /// but the defaults.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the profile is structurally inconsistent.
+    pub fn with_knobs(profile: Arc<ApplicationProfile>, knobs: Knobs) -> Self {
         assert!(profile.is_consistent(), "inconsistent profile");
         let mut cells: Vec<PreparedEpoch> = Vec::new();
         let mut reps: Vec<&EpochProfile> = Vec::new();
@@ -140,16 +147,13 @@ impl PreparedProfile {
                 cell_of.push(cell);
             }
         }
-        let participants =
-            barrier_participants(profile.threads.iter().map(|t| t.events.as_slice()));
         drop(reps);
         PreparedProfile {
             profile,
-            knobs: Knobs::from_env(),
+            knobs,
             cells,
             cell_of,
             ranges,
-            participants,
         }
     }
 
@@ -189,7 +193,7 @@ impl PreparedProfile {
             bpred_rates: HashMap::new(),
             cell_cycles: vec![0.0; self.cells.len()],
             cycles: vec![0.0; self.cell_of.len()],
-            scratch: SymScratch::default(),
+            scratch: SymScratch::new(self.profile.threads.iter().map(|t| t.events.as_slice())),
         }
     }
 
@@ -234,8 +238,8 @@ impl PreparedProfile {
     }
 
     /// Full prediction for one configuration, reusing the precomputed
-    /// models — bit-identical to [`predict`](crate::predict()) when no `RPPM_*`
-    /// variable changed since preparation.
+    /// models — bit-identical to [`predict`](crate::predict()) under the
+    /// default knobs.
     pub fn predict(&self, config: &MachineConfig) -> Prediction {
         let cell_preds = self.cell_predictions(config);
         let epoch_preds: Vec<Vec<EpochPrediction>> = self
@@ -254,23 +258,12 @@ impl PreparedProfile {
                     .collect()
             })
             .collect();
-        let timelines: Vec<ThreadTimeline> = self
-            .profile
-            .threads
-            .iter()
-            .zip(&epoch_preds)
-            .map(|(t, preds)| ThreadTimeline {
-                epochs: preds.iter().map(|p| p.cycles).collect(),
-                events: t.events.clone(),
-            })
-            .collect();
-        let schedule = execute(&timelines, config);
-        assemble(&self.profile, config, epoch_preds, schedule)
+        assemble(&self.profile, config, epoch_preds)
     }
 
     /// The MAIN baseline ([`crate::predict_main`]) from the prepared
-    /// models; bit-identical to the scalar function under the same
-    /// environment caveat as [`PreparedProfile::predict`].
+    /// models; bit-identical to the scalar function under the default
+    /// knobs.
     pub fn predict_main(&self, config: &MachineConfig) -> f64 {
         self.isolated_thread_active(0, config)
     }
@@ -400,7 +393,7 @@ impl BatchedEq1<'_> {
 
     /// Predicted end-to-end execution time in **cycles** for `config` —
     /// bit-identical to [`predict`](crate::predict())`(profile, config).total_cycles`
-    /// under the module-level environment caveat. Seconds follow as
+    /// under the default knobs. Seconds follow as
     /// [`MachineConfig::cycles_to_seconds`], the same conversion the scalar
     /// path applies.
     pub fn eval(&mut self, config: &MachineConfig) -> f64 {
@@ -445,7 +438,6 @@ impl BatchedEq1<'_> {
                 ranges: &self.prep.ranges,
                 events: &self.events,
             },
-            &self.prep.participants,
             config.sync_overhead_cycles as f64,
             config.spawn_latency_cycles as f64,
             &mut self.scratch,

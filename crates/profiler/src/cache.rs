@@ -214,6 +214,35 @@ impl Inner {
     }
 }
 
+/// Removes a key's entry when a panicking `build` or profiling run unwinds
+/// out of [`ProfileCache::get_or_profile`], so a failed run neither leaks an
+/// uncounted, unevictable in-flight entry nor blocks a later retry. Only
+/// the entry still holding the caller's slot, and only while that slot is
+/// empty, is removed.
+struct ForgetFailedSlot<'a> {
+    cache: &'a ProfileCache,
+    key: &'a ProfileKey,
+    slot: &'a Arc<OnceLock<ProfiledWorkload>>,
+}
+
+impl Drop for ForgetFailedSlot<'_> {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            return;
+        }
+        let Ok(mut inner) = self.cache.inner.lock() else {
+            return;
+        };
+        let failed = inner
+            .map
+            .get(self.key)
+            .is_some_and(|e| Arc::ptr_eq(&e.slot, self.slot) && e.slot.get().is_none());
+        if failed {
+            inner.map.remove(self.key);
+        }
+    }
+}
+
 /// Shared profile store: each [`ProfileKey`] is built and profiled exactly
 /// once per cache, no matter how many experiments, configurations, or
 /// worker threads ask for it. Optionally memory-bounded — see
@@ -272,6 +301,11 @@ impl ProfileCache {
             Arc::clone(&entry.slot)
         };
         let mut fresh = false;
+        let unwind = ForgetFailedSlot {
+            cache: self,
+            key: &key,
+            slot: &slot,
+        };
         let workload = slot
             .get_or_init(|| {
                 // Release pairs with the Acquire load in
@@ -288,6 +322,7 @@ impl ProfileCache {
                 }
             })
             .clone();
+        drop(unwind);
         if fresh {
             self.mark_resident(&key, &slot, &workload);
         }

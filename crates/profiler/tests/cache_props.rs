@@ -23,6 +23,26 @@ fn key(seed: u64) -> ProfileKey {
     ProfileKey::generated("prop", 0.5, seed)
 }
 
+/// A build that panics leaves no entry behind: the cache's entry count is
+/// unchanged, and the next lookup for the same key profiles normally.
+#[test]
+fn panicking_build_does_not_leak_its_slot() {
+    let cache = ProfileCache::new();
+    cache.get_or_profile(key(1), || tiny(1));
+    let before = cache.len();
+    let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        cache.get_or_profile(key(2), || panic!("build failed"))
+    }));
+    assert!(failed.is_err());
+    assert_eq!(cache.len(), before, "the failed key's entry is gone");
+    assert_eq!(cache.resident(), 1);
+    let got = cache.get_or_profile(key(2), || tiny(2));
+    assert_eq!(got.profile.num_threads(), 2);
+    assert_eq!(cache.len(), before + 1);
+    assert_eq!(cache.resident(), 2);
+    assert_eq!(cache.profiles_collected(), 3, "the failed run counts too");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 

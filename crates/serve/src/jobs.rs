@@ -154,6 +154,21 @@ impl JobQueue {
     }
 }
 
+/// The error a job reports when its profiling run panicked: the panic's
+/// message (a `&str` or `String` payload) after a fixed prefix, e.g.
+/// `profiling run panicked: deadlock during profiling of W: T0 waits on
+/// consume(Q0)`.
+pub(crate) fn failure_message(payload: &(dyn std::any::Any + Send)) -> String {
+    let message = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+    match message {
+        Some(m) => format!("profiling run panicked: {m}"),
+        None => "profiling run panicked".to_string(),
+    }
+}
+
 /// The `/jobs/<id>` response document.
 pub fn job_doc(id: u64, state: &JobState) -> Value {
     let mut fields = vec![
@@ -217,5 +232,22 @@ mod tests {
             },
         );
         assert!(serde_json::to_string(&failed).unwrap().contains("boom"));
+    }
+
+    #[test]
+    fn failure_message_carries_the_panic_payload() {
+        let caught = |f: fn()| std::panic::catch_unwind(f).expect_err("panics");
+        let formatted = caught(|| panic!("deadlock in {}", "w"));
+        assert_eq!(
+            failure_message(formatted.as_ref()),
+            "profiling run panicked: deadlock in w"
+        );
+        let literal = caught(|| panic!("static message"));
+        assert_eq!(
+            failure_message(literal.as_ref()),
+            "profiling run panicked: static message"
+        );
+        let opaque = caught(|| std::panic::panic_any(7u32));
+        assert_eq!(failure_message(opaque.as_ref()), "profiling run panicked");
     }
 }

@@ -10,11 +10,9 @@
 //! block behind a profiling run.
 
 use crate::http::{read_request_head, write_response, HttpError, RequestHead};
-use crate::jobs::{job_doc, JobQueue};
-use rppm::core::{find_best, sweep, ConfigSpace, Constraints};
-use rppm::docs::{
-    describe_config, dse_best_doc, dse_bounds_ladder, dse_sweep_doc, prediction_doc, sweep_doc,
-};
+use crate::jobs::{failure_message, job_doc, JobQueue};
+use rppm::core::{sweep, ConfigSpace, Constraints};
+use rppm::docs::{describe_config, dse_bounds_ladder, dse_sweep_doc, prediction_doc, sweep_doc};
 use rppm::trace::{
     parse_machine, program_fingerprint, read_program, read_program_sections, read_program_stream,
     DesignPoint, MachineConfig, Program, BINARY_TRACE_MAGIC,
@@ -381,7 +379,6 @@ impl State {
     fn handle_dse(&self, head: &RequestHead) -> ApiResult {
         let handle = self.resolve(head)?;
         let tiny = matches!(head.query_value("tiny"), Some("1") | Some("true"));
-        let best_only = matches!(head.query_value("best_only"), Some("1") | Some("true"));
         let bound = parse_query_num::<f64>(head, "bound")?.unwrap_or(0.05);
         if !(0.0..1.0).contains(&bound) {
             return Err(ApiError::bad_request(format!(
@@ -406,11 +403,6 @@ impl State {
             ConfigSpace::default_space_from(base)
         };
         let jobs = self.session_jobs();
-        if best_only {
-            let out = find_best(prepared.inner(), &space, &constraints, bound, jobs)
-                .map_err(|e| ApiError::bad_request(format!("{}: {e}", handle.name())))?;
-            return Ok((200, dse_best_doc(handle.name(), &space, &out)));
-        }
         let bounds = dse_bounds_ladder(bound);
         let out = sweep(prepared.inner(), &space, &constraints, &bounds, jobs)
             .map_err(|e| ApiError::bad_request(format!("{}: {e}", handle.name())))?;
@@ -547,6 +539,7 @@ impl State {
                             "evictions".to_string(),
                             Value::U64(cache.evictions() as u64),
                         ),
+                        ("entries".to_string(), Value::U64(cache.len() as u64)),
                         ("resident".to_string(), Value::U64(cache.resident() as u64)),
                         (
                             "resident_bytes".to_string(),
@@ -700,7 +693,7 @@ impl Server {
                         while let Some((id, handle)) = state.jobs.next_job() {
                             let outcome = catch_unwind(AssertUnwindSafe(|| handle.profile()))
                                 .map(|_profile| handle.name().to_string())
-                                .map_err(|_| "profiling run panicked".to_string());
+                                .map_err(|payload| failure_message(payload.as_ref()));
                             state.jobs.finish(id, outcome);
                         }
                     })

@@ -4,7 +4,7 @@
 //! clients, and cache churn held at the configured budget.
 
 use rppm::docs::prediction_doc;
-use rppm::trace::{read_program_stream, DesignPoint};
+use rppm::trace::{export_program, read_program_stream, DesignPoint, ProgramBuilder};
 use rppm::{CacheBudget, Session};
 use rppm_serve::{Client, ServeConfig, Server};
 use serde_json::Value;
@@ -302,6 +302,54 @@ fn churn_beyond_budget_holds_cache_at_bound_with_correct_answers() {
     assert_eq!(field(cache, "max_entries").as_u64(), Some(2));
 
     server.shutdown();
+    server.wait();
+}
+
+/// A trace whose profile deadlocks (one thread consuming from a queue
+/// nothing produces) fails its job with the reason, and the failed
+/// profiling run leaves no cache entry behind.
+#[test]
+fn deadlocking_upload_fails_its_job_with_the_reason() {
+    let server = Server::bind(ServeConfig::default()).expect("bind");
+    let mut client = Client::new(server.local_addr());
+    let entries = |client: &mut Client| {
+        let stats = client.get("/stats").expect("stats");
+        let stats: Value = serde_json::from_str(&stats.text()).expect("stats doc");
+        field(field(&stats, "cache"), "entries").as_u64()
+    };
+    let before = entries(&mut client);
+
+    let mut b = ProgramBuilder::new("deadlock", 1);
+    let q = b.alloc_queue();
+    b.thread(0u32).consume(q);
+    let json = export_program(&b.build()).expect("export");
+    let accepted = client.post("/traces", json.as_bytes()).expect("upload");
+    assert_eq!(accepted.status, 202, "{}", accepted.text());
+    let doc: Value = serde_json::from_str(&accepted.text()).expect("upload doc");
+    let job = field(&doc, "job").as_u64().expect("job id");
+
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let failed = loop {
+        let resp = client.get(&format!("/jobs/{job}")).expect("poll job");
+        let doc: Value = serde_json::from_str(&resp.text()).expect("job doc");
+        match field(&doc, "state").as_str() {
+            Some("failed") => break resp.text(),
+            Some("done") => panic!("a deadlocking trace profiled: {}", resp.text()),
+            _ => {}
+        }
+        assert!(Instant::now() < deadline, "job {job} did not finish in 60s");
+        std::thread::sleep(Duration::from_millis(2));
+    };
+    assert!(failed.contains("deadlock"), "{failed}");
+    assert!(failed.contains("T0 waits on consume(Q0)"), "{failed}");
+    assert_eq!(
+        entries(&mut client),
+        before,
+        "failed run leaked a cache entry"
+    );
+
+    let bye = client.post("/shutdown", b"").expect("shutdown");
+    assert_eq!(bye.status, 200);
     server.wait();
 }
 

@@ -1,16 +1,25 @@
 //! Multicore execution engine: schedules per-core timing models against the
-//! shared memory system and implements full synchronization semantics
-//! (thread creation/join, barriers, critical sections, producer/consumer
-//! condition variables).
+//! shared memory system and drives them through the program's
+//! synchronization (thread creation/join, barriers, critical sections,
+//! reader-writer locks, semaphores, producer/consumer condition
+//! variables).
 //!
 //! Cores advance in quantum-sized slices in global-time order (the runnable
 //! thread with the smallest local clock goes next), so shared-cache and
 //! coherence interactions are observed in approximately correct order and
 //! the whole simulation is deterministic. Scheduling is discrete-event: the
-//! runnable threads live in an [`rppm_core::sched::EventQueue`] min-heap
-//! keyed by their local clocks, so blocked and idle threads cost nothing
-//! per scheduling step and thread counts far beyond the paper's 4–8 stay
-//! cheap.
+//! runnable threads live in the shared [`EventQueue`] min-heap keyed by
+//! their local clocks, so blocked and idle threads cost nothing per
+//! scheduling step and thread counts far beyond the paper's 4–8 stay cheap.
+//!
+//! The synchronization rules are the shared [`SyncState`] over `f64`
+//! cycles — the state machine Algorithm 2's symbolic execution and the
+//! profiler run too, so prediction and simulation cannot disagree about
+//! who waits for whom. The engine's part at an event is timing: it charges
+//! the library overhead, counts the event for Table III
+//! ([`SyncEventCounts`]), starts created threads after the spawn latency
+//! and moves woken or waiting threads' clocks with
+//! [`CoreModel::resume_at`], closing and reopening their active intervals.
 //!
 //! The engine is generic over the op source (an expansion-backed
 //! [`Program`](rppm_trace::Program) or an out-of-core
@@ -24,24 +33,13 @@
 use crate::core::CoreModel;
 use crate::mem::MemorySystem;
 use crate::simprof::{NoProbe, SimProbe};
-use rppm_core::sched::EventQueue;
-use rppm_trace::{BlockItem, CpiStack, ExecSource, MachineConfig, SyncOp, ThreadCursor};
-use std::collections::{HashMap, VecDeque};
+use rppm_trace::{
+    BlockItem, CpiStack, EventQueue, ExecSource, MachineConfig, Step, SyncEventCounts, SyncOp,
+    SyncState, ThreadCursor,
+};
 
 /// Scheduling quantum in cycles.
 const QUANTUM: f64 = 500.0;
-
-/// Dynamic synchronization-event counts by paper category (Table III).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct SyncEventCounts {
-    /// Critical sections entered (lock events).
-    pub critical_sections: u64,
-    /// Barrier waits (plain barriers).
-    pub barriers: u64,
-    /// Condition-variable events (cond-implemented barriers, produces,
-    /// consumes).
-    pub cond_vars: u64,
-}
 
 /// Per-thread simulation outcome.
 #[derive(Debug, Clone)]
@@ -124,77 +122,11 @@ impl SimResult {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Status {
-    NotStarted,
-    Ready,
-    Blocked,
-    Done,
-}
-
 struct ThreadCtx {
     core: CoreModel,
-    status: Status,
-    block_time: f64,
     start: f64,
-    finish: f64,
     intervals: Vec<(f64, f64)>,
     open: f64,
-}
-
-#[derive(Debug, Default)]
-struct BarrierState {
-    arrived: Vec<usize>,
-    max_time: f64,
-}
-
-#[derive(Debug, Default)]
-struct MutexState {
-    held_by: Option<usize>,
-    queue: VecDeque<usize>,
-}
-
-#[derive(Debug, Default)]
-struct QueueState {
-    /// Availability times of produced-but-unconsumed items.
-    items: VecDeque<f64>,
-    /// Threads blocked waiting for an item.
-    waiting: VecDeque<usize>,
-}
-
-#[derive(Debug, Default)]
-struct RwLockState {
-    writer: Option<usize>,
-    readers: usize,
-    /// Blocked acquirers in arrival order: `(thread, wants_write)`.
-    queue: VecDeque<(usize, bool)>,
-}
-
-impl RwLockState {
-    /// Admits queued acquirers after a release, FIFO by arrival: a run of
-    /// consecutive readers at the front enters together; a writer at the
-    /// front enters alone once the lock is fully free. Returns the threads
-    /// to wake.
-    fn admit(&mut self) -> Vec<usize> {
-        let mut wake = Vec::new();
-        if self.writer.is_some() {
-            return wake;
-        }
-        if let Some(&(_, true)) = self.queue.front() {
-            if self.readers == 0 {
-                let (w, _) = self.queue.pop_front().expect("nonempty");
-                self.writer = Some(w);
-                wake.push(w);
-            }
-            return wake;
-        }
-        while let Some(&(_, false)) = self.queue.front() {
-            let (w, _) = self.queue.pop_front().expect("nonempty");
-            self.readers += 1;
-            wake.push(w);
-        }
-        wake
-    }
 }
 
 /// Simulates `source` (an expansion-backed [`Program`](rppm_trace::Program)
@@ -249,15 +181,7 @@ struct Engine<'p, S: ExecSource> {
     cursors: Vec<ThreadCursor<'p>>,
     threads: Vec<ThreadCtx>,
     mem: MemorySystem,
-    barriers: HashMap<u32, BarrierState>,
-    participants: HashMap<u32, usize>,
-    mutexes: HashMap<u32, MutexState>,
-    queues: HashMap<u32, QueueState>,
-    rwlocks: HashMap<u32, RwLockState>,
-    /// Semaphores reuse queue bookkeeping: posted permits carry the time
-    /// they became available, exactly like produced items.
-    sems: HashMap<u32, QueueState>,
-    joiners: HashMap<usize, Vec<usize>>,
+    sync: SyncState<f64>,
     counts: SyncEventCounts,
     /// Discrete-event ready queue: `(wake_time, thread)` min-heap. Threads
     /// are posted when they become runnable and popped in global time
@@ -270,34 +194,13 @@ impl<'p, S: ExecSource> Engine<'p, S> {
         let n = source.num_threads();
         let cursors = (0..n).map(|t| source.cursor(t)).collect();
         let threads = (0..n)
-            .map(|i| ThreadCtx {
+            .map(|_| ThreadCtx {
                 core: CoreModel::new(config, 0.0),
-                status: if i == 0 {
-                    Status::Ready
-                } else {
-                    Status::NotStarted
-                },
-                block_time: 0.0,
                 start: 0.0,
-                finish: 0.0,
                 intervals: Vec::new(),
                 open: 0.0,
             })
             .collect();
-
-        // Barrier participation is static: every thread whose script names
-        // the barrier takes part in each instance.
-        let mut participants: HashMap<u32, usize> = HashMap::new();
-        for t in 0..n {
-            let mut seen = std::collections::HashSet::new();
-            for op in source.sync_ops(t) {
-                if let SyncOp::Barrier { id, .. } = op {
-                    if seen.insert(id.0) {
-                        *participants.entry(id.0).or_insert(0) += 1;
-                    }
-                }
-            }
-        }
 
         Engine {
             config,
@@ -305,23 +208,16 @@ impl<'p, S: ExecSource> Engine<'p, S> {
             cursors,
             threads,
             mem: MemorySystem::with_cores(config, n.max(1)),
-            barriers: HashMap::new(),
-            participants,
-            mutexes: HashMap::new(),
-            queues: HashMap::new(),
-            rwlocks: HashMap::new(),
-            sems: HashMap::new(),
-            joiners: HashMap::new(),
+            sync: SyncState::new((0..n).map(|t| source.sync_ops(t))),
             counts: SyncEventCounts::default(),
             queue: EventQueue::new(),
         }
     }
 
+    /// Closes thread `i`'s active interval as it blocks.
     fn block(&mut self, i: usize) {
         let th = &mut self.threads[i];
         let t = th.core.time();
-        th.status = Status::Blocked;
-        th.block_time = t;
         if t > th.open {
             th.intervals.push((th.open, t));
         }
@@ -343,31 +239,25 @@ impl<'p, S: ExecSource> Engine<'p, S> {
         }
     }
 
-    fn resume(&mut self, i: usize, t: f64) {
-        let th = &mut self.threads[i];
-        debug_assert_eq!(th.status, Status::Blocked);
-        th.core.resume_at(t);
-        th.status = Status::Ready;
-        th.open = th.core.time();
-        let wake = th.core.time();
-        self.queue.post_at(wake, i);
+    /// Resumes every thread the last sync transition woke, charging the
+    /// time it waited to sync.
+    fn resume_woken(&mut self) {
+        for &(w, t) in self.sync.wakeups() {
+            let th = &mut self.threads[w];
+            th.core.resume_at(t);
+            th.open = th.core.time();
+            self.queue.post_at(th.core.time(), w);
+        }
     }
 
     fn finish_thread(&mut self, i: usize) {
-        let t = self.threads[i].core.finish();
-        {
-            let th = &mut self.threads[i];
-            th.status = Status::Done;
-            th.finish = t;
-            if t > th.open {
-                th.intervals.push((th.open, t));
-            }
+        let th = &mut self.threads[i];
+        let t = th.core.finish();
+        if t > th.open {
+            th.intervals.push((th.open, t));
         }
-        if let Some(waiters) = self.joiners.remove(&i) {
-            for w in waiters {
-                self.resume(w, t);
-            }
-        }
+        self.sync.finish(i, t);
+        self.resume_woken();
     }
 
     /// Handles one synchronization event for thread `i`. Returns `true` if
@@ -379,175 +269,26 @@ impl<'p, S: ExecSource> Engine<'p, S> {
         let overhead = self.config.sync_overhead_cycles as f64;
         self.threads[i].core.charge_sync_overhead(overhead);
         let t = self.threads[i].core.time();
-
-        match op {
-            SyncOp::Create { child } => {
-                let c = child.index();
-                let start = t + self.config.spawn_latency_cycles as f64;
-                let th = &mut self.threads[c];
-                assert_eq!(th.status, Status::NotStarted, "thread created twice");
-                th.core.set_start_time(start);
-                th.status = Status::Ready;
-                th.start = start;
-                th.open = start;
-                let wake = th.core.time();
-                self.queue.post_at(wake, c);
+        self.counts.record(&op);
+        let step = self.sync.apply(i, op, t);
+        if let SyncOp::Create { child } = op {
+            let start = t + self.config.spawn_latency_cycles as f64;
+            let th = &mut self.threads[child.index()];
+            th.core.set_start_time(start);
+            th.start = start;
+            th.open = start;
+            self.queue.post_at(th.core.time(), child.index());
+        }
+        self.resume_woken();
+        match step {
+            Step::Proceed => false,
+            Step::WaitUntil(at) => {
+                self.wait_running(i, at);
                 false
             }
-            SyncOp::Join { child } => {
-                let c = child.index();
-                if self.threads[c].status == Status::Done {
-                    let fin = self.threads[c].finish;
-                    self.wait_running(i, fin);
-                    false
-                } else {
-                    self.joiners.entry(c).or_default().push(i);
-                    self.block(i);
-                    true
-                }
-            }
-            SyncOp::Barrier { id, via_cond } => {
-                if via_cond {
-                    self.counts.cond_vars += 1;
-                } else {
-                    self.counts.barriers += 1;
-                }
-                let need = *self
-                    .participants
-                    .get(&id.0)
-                    .expect("barrier with no participants");
-                let bar = self.barriers.entry(id.0).or_default();
-                bar.arrived.push(i);
-                bar.max_time = bar.max_time.max(t);
-                if bar.arrived.len() >= need {
-                    let release = bar.max_time;
-                    let arrived = std::mem::take(&mut bar.arrived);
-                    bar.max_time = 0.0;
-                    for w in arrived {
-                        if w != i {
-                            self.resume(w, release);
-                        }
-                    }
-                    self.wait_running(i, release);
-                    false
-                } else {
-                    self.block(i);
-                    true
-                }
-            }
-            SyncOp::Lock { id } => {
-                self.counts.critical_sections += 1;
-                let m = self.mutexes.entry(id.0).or_default();
-                if m.held_by.is_none() && m.queue.is_empty() {
-                    m.held_by = Some(i);
-                    false
-                } else {
-                    m.queue.push_back(i);
-                    self.block(i);
-                    true
-                }
-            }
-            SyncOp::Unlock { id } => {
-                let m = self.mutexes.entry(id.0).or_default();
-                m.held_by = None;
-                if let Some(w) = m.queue.pop_front() {
-                    m.held_by = Some(w);
-                    self.resume(w, t);
-                }
-                false
-            }
-            SyncOp::Produce { queue, count } => {
-                self.counts.cond_vars += 1;
-                let q = self.queues.entry(queue.0).or_default();
-                for _ in 0..count {
-                    q.items.push_back(t);
-                }
-                let mut wakeups = Vec::new();
-                while !q.items.is_empty() && !q.waiting.is_empty() {
-                    let item = q.items.pop_front().expect("nonempty");
-                    let w = q.waiting.pop_front().expect("nonempty");
-                    wakeups.push((w, item));
-                }
-                for (w, item) in wakeups {
-                    self.resume(w, item.max(self.threads[w].block_time));
-                }
-                false
-            }
-            SyncOp::Consume { queue } => {
-                self.counts.cond_vars += 1;
-                let q = self.queues.entry(queue.0).or_default();
-                if let Some(item) = q.items.pop_front() {
-                    if item > t {
-                        self.wait_running(i, item);
-                    }
-                    false
-                } else {
-                    q.waiting.push_back(i);
-                    self.block(i);
-                    true
-                }
-            }
-            SyncOp::RwLock { id, write } => {
-                self.counts.critical_sections += 1;
-                let rw = self.rwlocks.entry(id.0).or_default();
-                let free = rw.writer.is_none() && rw.queue.is_empty();
-                let grant = if write { free && rw.readers == 0 } else { free };
-                if grant {
-                    if write {
-                        rw.writer = Some(i);
-                    } else {
-                        rw.readers += 1;
-                    }
-                    false
-                } else {
-                    rw.queue.push_back((i, write));
-                    self.block(i);
-                    true
-                }
-            }
-            SyncOp::RwUnlock { id } => {
-                let rw = self.rwlocks.entry(id.0).or_default();
-                if rw.writer == Some(i) {
-                    rw.writer = None;
-                } else {
-                    rw.readers = rw.readers.saturating_sub(1);
-                }
-                let wake = rw.admit();
-                for w in wake {
-                    self.resume(w, t);
-                }
-                false
-            }
-            SyncOp::SemWait { id } => {
-                self.counts.cond_vars += 1;
-                let s = self.sems.entry(id.0).or_default();
-                if let Some(item) = s.items.pop_front() {
-                    if item > t {
-                        self.wait_running(i, item);
-                    }
-                    false
-                } else {
-                    s.waiting.push_back(i);
-                    self.block(i);
-                    true
-                }
-            }
-            SyncOp::SemPost { id, count } => {
-                self.counts.cond_vars += 1;
-                let s = self.sems.entry(id.0).or_default();
-                for _ in 0..count {
-                    s.items.push_back(t);
-                }
-                let mut wakeups = Vec::new();
-                while !s.items.is_empty() && !s.waiting.is_empty() {
-                    let item = s.items.pop_front().expect("nonempty");
-                    let w = s.waiting.pop_front().expect("nonempty");
-                    wakeups.push((w, item));
-                }
-                for (w, item) in wakeups {
-                    self.resume(w, item.max(self.threads[w].block_time));
-                }
-                false
+            Step::Blocked => {
+                self.block(i);
+                true
             }
         }
     }
@@ -563,22 +304,15 @@ impl<'p, S: ExecSource> Engine<'p, S> {
         }
         loop {
             let Some((_, i)) = self.queue.pop() else {
-                if self.threads.iter().all(|t| t.status == Status::Done) {
-                    break;
+                if let Some(stuck) = self.sync.deadlock() {
+                    panic!(
+                        "deadlock during simulation of {}: {stuck}",
+                        self.source.name()
+                    );
                 }
-                let stuck: Vec<usize> = self
-                    .threads
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, t)| t.status == Status::Blocked)
-                    .map(|(i, _)| i)
-                    .collect();
-                panic!(
-                    "deadlock: threads {stuck:?} blocked forever in {}",
-                    self.source.name()
-                );
+                break;
             };
-            debug_assert_eq!(self.threads[i].status, Status::Ready);
+            debug_assert!(self.sync.is_ready(i));
             let t0 = self.threads[i].core.time();
 
             let limit = t0 + QUANTUM;
@@ -621,7 +355,7 @@ impl<'p, S: ExecSource> Engine<'p, S> {
             }
             // Re-post the thread if it is still runnable after its slice
             // (blocked threads are re-posted by whoever wakes them).
-            if self.threads[i].status == Status::Ready {
+            if self.sync.is_ready(i) {
                 let t = self.threads[i].core.time();
                 self.queue.post_at(t, i);
             }
@@ -639,10 +373,11 @@ impl<'p, S: ExecSource> Engine<'p, S> {
         let mut intervals = Vec::with_capacity(self.threads.len());
         let mut total_cycles: f64 = 0.0;
         for (i, th) in self.threads.iter().enumerate() {
-            total_cycles = total_cycles.max(th.finish);
+            let finish = self.sync.finish_time(i);
+            total_cycles = total_cycles.max(finish);
             let counters = th.core.counters();
             let stalls = th.core.stalls();
-            let total = th.finish - th.start;
+            let total = finish - th.start;
             let attributed = stalls.branch
                 + stalls.icache
                 + stalls.mem_l2
@@ -656,7 +391,7 @@ impl<'p, S: ExecSource> Engine<'p, S> {
             let ms = self.mem.stats(i);
             threads.push(ThreadResult {
                 start: th.start,
-                finish: th.finish,
+                finish,
                 cpi,
                 ops: counters.ops,
                 branches: counters.branches,

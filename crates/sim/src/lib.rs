@@ -50,6 +50,7 @@ pub use cache::SetAssocCache;
 /// [`simulate`] under its out-of-core name, for callers replaying an
 /// [`OpReplay`](rppm_trace::OpReplay).
 pub use engine::simulate as simulate_replay;
-pub use engine::{simulate, simulate_with_probe, SimResult, SyncEventCounts, ThreadResult};
+pub use engine::{simulate, simulate_with_probe, SimResult, ThreadResult};
 pub use mem::{MemStats, MemorySystem, ServiceLevel};
+pub use rppm_trace::SyncEventCounts;
 pub use simprof::{NoProbe, ProfileCollector, SimProbe, SimProfile, SyncMix, ThreadShape};

@@ -44,6 +44,11 @@
 //! * [`par`][mod@par] — the tiny scoped-thread parallel runtime
 //!   ([`par::parallel_for`] / [`par::parallel_map`] / [`par::default_jobs`])
 //!   shared by section decoding here and every crate above.
+//! * [`sync`][mod@sync] and [`sched`][mod@sched] — the synchronization
+//!   state machine ([`SyncState`]) and discrete-event ready queue
+//!   ([`EventQueue`]) shared by the profiler, Algorithm 2 and the
+//!   simulator, so all three engines apply one set of barrier, lock, queue
+//!   and join rules and differ only in how their clocks advance.
 //!
 //! # Example
 //!
@@ -87,6 +92,7 @@ pub mod par;
 pub mod pattern;
 pub mod program;
 pub mod rng;
+pub mod sched;
 pub mod sync;
 
 pub use binary::{
@@ -118,4 +124,8 @@ pub use ops::{
 pub use pattern::{AddressPattern, BranchPattern, Region};
 pub use program::{Program, ProgramError, Segment, ThreadScript};
 pub use rng::Rng;
-pub use sync::{BarrierId, CondId, MutexId, QueueId, SyncOp, ThreadId};
+pub use sched::{time_key, EventQueue};
+pub use sync::{
+    BarrierId, CondId, Deadlock, MutexId, QueueId, Step, SyncEventCounts, SyncOp, SyncState,
+    ThreadId, ThreadStatus,
+};

@@ -1,32 +1,31 @@
 //! Discrete-event ready queue shared by the execution engines.
 //!
-//! Algorithm 2 (symbolic execution) and the golden simulator engine both
-//! schedule the same way: *run the ready thread
-//! with the smallest clock next*. The historical implementation rescanned
-//! every thread on every scheduling step, which is O(threads) per step —
-//! harmless at the paper's 4–8 threads, but the dominant cost for
-//! hundreds-to-thousands-of-thread scenarios where almost every thread is
-//! blocked or finished at any given moment.
+//! The profiler's unit-cost executor, Algorithm 2 (symbolic execution in
+//! `rppm-core`) and the golden simulator (`rppm-sim`) all schedule the same
+//! way: *run the ready thread with the smallest clock next*. Their
+//! synchronization rules live in one place too ([`crate::sync::SyncState`]);
+//! this module is the other half, the order in which ready threads run.
 //!
-//! [`EventQueue`] replaces the scan with a binary min-heap of
-//! `(wake_key, thread)` events. Threads are *posted* when they become
-//! runnable (creation, wake-up from a barrier/lock/queue, or re-posting
-//! after a scheduling quantum) and popped in global time order; blocked and
-//! finished threads simply are not in the heap and cost nothing.
+//! [`EventQueue`] is a binary min-heap of `(wake_key, thread)` events.
+//! Threads are *posted* when they become runnable (creation, a wakeup
+//! reported by the sync state, or re-posting after a scheduling quantum)
+//! and popped in global time order; blocked and finished threads simply
+//! are not in the heap and cost nothing per scheduling step, which keeps
+//! hundreds-of-threads scenarios cheap.
 //!
-//! # Bit-identity with the scan
+//! # Tie-breaking
 //!
-//! The linear scan picked the **first** thread with the strictly smallest
-//! key — i.e. the lowest index among ties. Popping the minimum of the
-//! lexicographic pair `(key, thread_index)` selects exactly the same
-//! thread, so engines ported to this queue reproduce their previous
-//! schedules bit for bit (pinned by the golden suite, the sim-equivalence
-//! suite and the scheduler differential tests).
+//! Popping the minimum of the lexicographic pair `(key, thread_index)`
+//! picks the **lowest index** among threads sharing the smallest key —
+//! exactly what the linear scan this queue replaced picked, so schedules
+//! stay bit-identical to it (pinned by the golden suite, the
+//! sim-equivalence suite and the scheduler differential tests).
 //!
-//! Clocks are `f64` cycles in the engines; [`time_key`] maps a
-//! non-negative, non-NaN `f64` to a `u64` whose integer order matches the
-//! float order (IEEE-754 bit patterns of non-negative floats are monotone),
-//! so the heap never compares floats directly.
+//! Clocks are `u64` ticks in the profiler (posted directly with
+//! [`EventQueue::post`]) and `f64` cycles in the timing engines;
+//! [`time_key`] maps a non-negative, non-NaN `f64` to a `u64` whose integer
+//! order matches the float order (IEEE-754 bit patterns of non-negative
+//! floats are monotone), so the heap never compares floats directly.
 //!
 //! # Invariant
 //!

@@ -464,7 +464,7 @@ pub struct PreparedHandle {
 
 impl PreparedHandle {
     /// The underlying prepared profile (e.g. to hand to
-    /// [`rppm_core::sweep`] / [`rppm_core::find_best`]).
+    /// [`rppm_core::sweep`]).
     pub fn inner(&self) -> &Arc<PreparedProfile> {
         &self.prepared
     }

@@ -7,7 +7,7 @@
 //! only crate both depend on) is what makes that a structural guarantee
 //! instead of a convention.
 
-use rppm_core::{ConfigSpace, DseBest, DsePoint, DseSweep, Prediction};
+use rppm_core::{ConfigSpace, DsePoint, DseSweep, Prediction};
 use rppm_trace::MachineConfig;
 use serde_json::Value;
 
@@ -86,19 +86,6 @@ pub fn dse_sweep_doc(workload: &str, space: &ConfigSpace, out: &DseSweep) -> Val
                     .collect(),
             ),
         ),
-    ])
-}
-
-/// The `rppm dse --best-only --json` document ([`rppm_core::find_best`]).
-pub fn dse_best_doc(workload: &str, space: &ConfigSpace, out: &DseBest) -> Value {
-    Value::Object(vec![
-        ("workload".into(), Value::String(workload.to_string())),
-        ("points".into(), Value::U64(out.points as u64)),
-        ("feasible".into(), Value::U64(out.feasible as u64)),
-        ("pruned".into(), Value::U64(out.pruned as u64)),
-        ("bound".into(), Value::F64(out.bound)),
-        ("candidates".into(), Value::U64(out.candidates as u64)),
-        ("best".into(), dse_point_doc(space, &out.best)),
     ])
 }
 

@@ -146,9 +146,10 @@ proptest! {
         assert_identical(&simulate(&p, &cfg), &simulate(&replay_of(&p), &cfg));
     }
 
-    /// The logical profiler walks the same programs with its own inline
-    /// heap; its profile must stay structurally consistent (epochs =
-    /// events + 1 on every thread) at any thread count and sync mix.
+    /// The logical profiler walks the same programs through the same
+    /// sync state machine and queue over tick clocks; its profile must stay
+    /// structurally consistent (epochs = events + 1 on every thread) at any
+    /// thread count and sync mix.
     #[test]
     fn profiler_stays_consistent_at_high_thread_counts(
         n_threads in 8usize..96,
